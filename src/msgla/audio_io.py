@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from . import __version__
 from .spectral import Waveform
@@ -33,6 +32,8 @@ def read_wav(path) -> Waveform:
     PCM16 samples are normalized by 32768, so full-scale negative maps to
     exactly -1.0.
     """
+    from scipy.io import wavfile  # deferred: importing scipy.io costs ~0.2 s
+
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such WAV file: {path}")
@@ -54,6 +55,8 @@ def write_wav(wave: Waveform, path, encoding: str = "float32") -> None:
     PCM16 clamps samples to [-1, 1], scales by 32768, and rounds half away
     from zero (clipping the top code to 32767); float32 writes values as-is.
     """
+    from scipy.io import wavfile  # deferred: importing scipy.io costs ~0.2 s
+
     if encoding not in ENCODINGS:
         raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
     path = Path(path)

@@ -4,7 +4,9 @@ All three loops alternate consistency projections with magnitude or phase
 replacement. ``nm_msgla`` consumes speech and noise magnitude estimates;
 ``np_msgla`` consumes a speech magnitude and a noise phase estimate. Both
 drive the speech-phase iterate toward one of the closed-form candidates in
-:mod:`msgla.geometry`, resolving the sign ambiguity implicitly.
+:mod:`msgla.geometry`, resolving the sign ambiguity implicitly. The three
+loops share one iteration routine that carries the speech phase as a unit
+complex phasor and forms angles only for the report.
 
 Runs are deterministic: random initialization is seeded, and a fixed
 iteration count (default 5) is used rather than a convergence test.
@@ -12,7 +14,7 @@ iteration count (default 5) is used rather than a convergence test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,13 +131,52 @@ def _stats(
     )
 
 
-def _check_like(name: str, arr, spectrogram: Spectrogram) -> np.ndarray:
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.shape != spectrogram.values.shape:
-        raise ValueError(
-            f"{name} shape {arr.shape} does not match spectrogram shape {spectrogram.values.shape}"
-        )
+def _estimate(name: str, value, shape, *, nonnegative: bool = True) -> np.ndarray:
+    """Validate one caller-supplied estimate; ``shape=None`` skips the shape check."""
+    arr = np.asarray(value, dtype=np.float64)
+    if shape is not None and arr.shape != shape:
+        raise ValueError(f"{name} shape {arr.shape} does not match spectrogram shape {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite values")
+    if nonnegative and np.any(arr < 0):
+        raise ValueError(f"{name} contains negative values")
     return arr
+
+
+def _phasor(z: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values / |values|``; an exact zero carries no phase and keeps ``z``."""
+    mag = np.abs(values)
+    return np.divide(values, mag, out=z.copy(), where=mag != 0)
+
+
+def _run(method, mag, phase, update, cfg: ReconConfig, stft_cfg, length, ref_phase, candidates):
+    """The loop shared by every method, on a unit phasor iterate ``z``.
+
+    Each iteration projects the speech estimate ``mag * z`` onto consistent
+    spectrograms and hands the projection to ``update(z, projected)``, which
+    returns the next phasor. Angles are formed only for the report. A bin
+    whose phasor never moved reports ``phase`` exactly as given.
+    """
+    z0 = np.exp(1j * phase)
+
+    def angles(z):
+        return phase if z is z0 else np.where(z == z0, phase, wrap_phase(np.angle(z)))
+
+    z = z0
+    stats: list[IterationStats] = []
+    phases: list[np.ndarray] | None = [phase] if cfg.trace else None
+    # With trace on, one more projection measures the final iterate.
+    for n in range(cfg.iterations + cfg.trace):
+        speech = mag * z
+        projected = project_values(speech, stft_cfg, length)
+        if cfg.trace:
+            stats.append(_stats(n, speech, projected, phases[-1], stft_cfg, ref_phase, candidates))
+        if n < cfg.iterations:
+            z = update(z, projected)
+            if cfg.trace:
+                phases.append(angles(z))
+    final_phase = phases[-1] if cfg.trace else angles(z)
+    return ReconReport(final_phase=final_phase, per_iteration=stats, phases=phases, method=method)
 
 
 def gla(
@@ -156,31 +197,14 @@ def gla(
     """
     cfg = cfg if cfg is not None else ReconConfig()
     stft_cfg = stft_cfg if stft_cfg is not None else StftConfig()
-    mag = np.asarray(mag_speech, dtype=np.float64)
+    mag = _estimate("mag_speech", mag_speech, None)
     if mag.ndim != 2 or mag.shape[1] != stft_cfg.n_bins:
-        raise ValueError(f"magnitude shape {mag.shape} does not fit config bins {stft_cfg.n_bins}")
-    if np.any(mag < 0) or not np.all(np.isfinite(mag)):
-        raise ValueError("magnitude must be finite and non-negative")
-    length = origin_length if origin_length is not None else canonical_length(mag.shape[0], stft_cfg)
-
-    phase = _initial_phase(cfg, mag.shape, noisy_phase)
-    stats: list[IterationStats] = []
-    phases: list[np.ndarray] | None = [phase] if cfg.trace else None
-    for n in range(cfg.iterations):
-        current = recompose(mag, phase)
-        projected = project_values(current, stft_cfg, length)
-        if cfg.trace:
-            stats.append(_stats(n, current, projected, phase, stft_cfg, ref_phase, candidates))
-        phase = wrap_phase(np.where(np.abs(projected) == 0.0, phase, np.angle(projected)))
-        if cfg.trace:
-            phases.append(phase)
-    if cfg.trace:
-        current = recompose(mag, phase)
-        projected = project_values(current, stft_cfg, length)
-        stats.append(
-            _stats(cfg.iterations, current, projected, phase, stft_cfg, ref_phase, candidates)
+        raise ValueError(
+            f"mag_speech shape {mag.shape} does not fit config bins {stft_cfg.n_bins}"
         )
-    return ReconReport(final_phase=phase, per_iteration=stats, phases=phases, method="gla")
+    length = origin_length if origin_length is not None else canonical_length(mag.shape[0], stft_cfg)
+    phase = _initial_phase(cfg, mag.shape, noisy_phase)
+    return _run("gla", mag, phase, _phasor, cfg, stft_cfg, length, ref_phase, candidates)
 
 
 def nm_msgla(
@@ -198,38 +222,22 @@ def nm_msgla(
     spectrograms and keep its phase, (ii) project the mixture residual and
     keep its phase as the noise phase, (iii) subtract the re-phased noise
     magnitude from the mixture and take the angle as the next speech phase.
-    Exact zeros in step (iii) take phase 0.
+    Wherever a value in (i)-(iii) is exactly zero, the current speech phase
+    is kept in its place.
     """
     cfg = cfg if cfg is not None else ReconConfig()
-    mag_speech = _check_like("mag_speech", mag_speech, noisy)
-    mag_noise = _check_like("mag_noise", mag_noise, noisy)
-    mixture = noisy.values
-    stft_cfg = noisy.config
-    length = noisy.origin_length
+    mag_speech = _estimate("mag_speech", mag_speech, noisy.values.shape)
+    mag_noise = _estimate("mag_noise", mag_noise, noisy.values.shape)
+    mixture, stft_cfg, length = noisy.values, noisy.config, noisy.origin_length
     _, phase_mix = decompose(noisy)
 
+    def update(z, projected):
+        speech = _phasor(z, projected)
+        noise = _phasor(z, project_values(mixture - mag_speech * speech, stft_cfg, length))
+        return _phasor(z, mixture - mag_noise * noise)
+
     phase = _initial_phase(cfg, mixture.shape, phase_mix)
-    stats: list[IterationStats] = []
-    phases: list[np.ndarray] | None = [phase] if cfg.trace else None
-    for n in range(cfg.iterations):
-        current = recompose(mag_speech, phase)
-        projected = project_values(current, stft_cfg, length)
-        if cfg.trace:
-            stats.append(_stats(n, current, projected, phase, stft_cfg, ref_phase, candidates))
-        phase_speech = wrap_phase(np.angle(projected))
-        residual = mixture - recompose(mag_speech, phase_speech)
-        projected_noise = project_values(residual, stft_cfg, length)
-        phase_noise = wrap_phase(np.angle(projected_noise))
-        phase = wrap_phase(np.angle(mixture - recompose(mag_noise, phase_noise)))
-        if cfg.trace:
-            phases.append(phase)
-    if cfg.trace:
-        current = recompose(mag_speech, phase)
-        projected = project_values(current, stft_cfg, length)
-        stats.append(
-            _stats(cfg.iterations, current, projected, phase, stft_cfg, ref_phase, candidates)
-        )
-    return ReconReport(final_phase=phase, per_iteration=stats, phases=phases, method="nm")
+    return _run("nm", mag_speech, phase, update, cfg, stft_cfg, length, ref_phase, candidates)
 
 
 def np_msgla(
@@ -247,55 +255,29 @@ def np_msgla(
     phase, (ii) project the mixture residual and keep its *magnitude* as the
     implied noise magnitude, (iii) subtract that magnitude at the supplied
     noise phase from the mixture and take the angle as the next speech phase.
+    Wherever a value in (i) or (iii) is exactly zero, the current speech
+    phase is kept in its place.
     """
     cfg = cfg if cfg is not None else ReconConfig()
-    mag_speech = _check_like("mag_speech", mag_speech, noisy)
-    phase_noise = _check_like("phase_noise", phase_noise, noisy)
-    mixture = noisy.values
-    stft_cfg = noisy.config
-    length = noisy.origin_length
+    mag_speech = _estimate("mag_speech", mag_speech, noisy.values.shape)
+    phase_noise = _estimate("phase_noise", phase_noise, noisy.values.shape, nonnegative=False)
+    mixture, stft_cfg, length = noisy.values, noisy.config, noisy.origin_length
     _, phase_mix = decompose(noisy)
+    noise = np.exp(1j * phase_noise)
+
+    def update(z, projected):
+        speech = _phasor(z, projected)
+        implied_mag_noise = np.abs(project_values(mixture - mag_speech * speech, stft_cfg, length))
+        return _phasor(z, mixture - implied_mag_noise * noise)
 
     phase = _initial_phase(cfg, mixture.shape, phase_mix)
-    stats: list[IterationStats] = []
-    phases: list[np.ndarray] | None = [phase] if cfg.trace else None
-    for n in range(cfg.iterations):
-        current = recompose(mag_speech, phase)
-        projected = project_values(current, stft_cfg, length)
-        if cfg.trace:
-            stats.append(_stats(n, current, projected, phase, stft_cfg, ref_phase, candidates))
-        phase_speech = wrap_phase(np.angle(projected))
-        residual = mixture - recompose(mag_speech, phase_speech)
-        implied_mag_noise = np.abs(project_values(residual, stft_cfg, length))
-        phase = wrap_phase(np.angle(mixture - recompose(implied_mag_noise, phase_noise)))
-        if cfg.trace:
-            phases.append(phase)
-    if cfg.trace:
-        current = recompose(mag_speech, phase)
-        projected = project_values(current, stft_cfg, length)
-        stats.append(
-            _stats(cfg.iterations, current, projected, phase, stft_cfg, ref_phase, candidates)
-        )
-    return ReconReport(final_phase=phase, per_iteration=stats, phases=phases, method="np")
+    return _run("np", mag_speech, phase, update, cfg, stft_cfg, length, ref_phase, candidates)
 
 
 def _require(value, method: str, name: str):
     if value is None:
         raise ValueError(f"method '{method}' requires estimate '{name}'")
     return value
-
-
-def _static_report(
-    mag, phase, noisy: Spectrogram, cfg: ReconConfig, ref_phase, candidates, method: str
-) -> ReconReport:
-    stats: list[IterationStats] = []
-    phases = None
-    if cfg.trace:
-        current = recompose(mag, phase)
-        projected = project_values(current, noisy.config, noisy.origin_length)
-        stats = [_stats(0, current, projected, phase, noisy.config, ref_phase, candidates)]
-        phases = [phase]
-    return ReconReport(final_phase=phase, per_iteration=stats, phases=phases, method=method)
 
 
 def enhance(
@@ -313,6 +295,10 @@ def enhance(
     combined with the reconstructed phase, trimmed to the mixture's original
     length. ``passthrough`` keeps the mixture phase; ``sign`` applies a
     supplied sign field to the law-of-cosines candidates in one shot.
+
+    Every estimate the method uses is checked before any work starts: it must
+    have the mixture's shape and be finite, and magnitudes must be
+    non-negative.
     """
     cfg = cfg if cfg is not None else ReconConfig()
     est = estimates if estimates is not None else Estimates()
@@ -321,12 +307,19 @@ def enhance(
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     mag_mix, phase_mix = decompose(noisy)
 
+    def needed(name: str, nonnegative: bool = True) -> np.ndarray:
+        value = _require(getattr(est, name), method, name)
+        return _estimate(name, value, mag_mix.shape, nonnegative=nonnegative)
+
+    def one_shot(mag, phase) -> ReconReport:
+        no_loop = replace(cfg, iterations=0)
+        length = noisy.origin_length
+        return _run(method, mag, phase, None, no_loop, noisy.config, length, ref_phase, candidates)
+
+    mag = mag_mix if method == "passthrough" and est.mag_speech is None else needed("mag_speech")
     if method == "passthrough":
-        mag = est.mag_speech if est.mag_speech is not None else mag_mix
-        mag = _check_like("mag_speech", mag, noisy)
-        report = _static_report(mag, phase_mix, noisy, cfg, ref_phase, candidates, method)
+        report = one_shot(mag, phase_mix)
     elif method == "gla":
-        mag = _check_like("mag_speech", _require(est.mag_speech, method, "mag_speech"), noisy)
         report = gla(
             mag,
             cfg,
@@ -337,20 +330,16 @@ def enhance(
             candidates=candidates,
         )
     elif method == "nm":
-        mag = _check_like("mag_speech", _require(est.mag_speech, method, "mag_speech"), noisy)
-        mag_noise = _require(est.mag_noise, method, "mag_noise")
+        mag_noise = needed("mag_noise")
         report = nm_msgla(noisy, mag, mag_noise, cfg, ref_phase=ref_phase, candidates=candidates)
     elif method == "np":
-        mag = _check_like("mag_speech", _require(est.mag_speech, method, "mag_speech"), noisy)
-        phase_noise = _require(est.phase_noise, method, "phase_noise")
+        phase_noise = needed("phase_noise", nonnegative=False)
         report = np_msgla(noisy, mag, phase_noise, cfg, ref_phase=ref_phase, candidates=candidates)
     else:  # sign
-        mag = _check_like("mag_speech", _require(est.mag_speech, method, "mag_speech"), noisy)
-        mag_noise = _check_like("mag_noise", _require(est.mag_noise, method, "mag_noise"), noisy)
+        mag_noise = needed("mag_noise")
         sign = _require(est.sign, method, "sign")
         cand = cosine_phase_candidates(mag_mix, phase_mix, mag, mag_noise)
-        phase = apply_sign_field(phase_mix, cand.abs_delta, sign)
-        report = _static_report(mag, phase, noisy, cfg, ref_phase, candidates, method)
+        report = one_shot(mag, apply_sign_field(phase_mix, cand.abs_delta, sign))
 
     estimate = Spectrogram(
         recompose(mag, report.final_phase), noisy.config, noisy.origin_length, noisy.sample_rate

@@ -14,8 +14,10 @@ monotonicity guarantees in :mod:`msgla.reconstruct` rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DEFAULT_SAMPLE_RATE",
@@ -39,6 +41,10 @@ DEFAULT_SAMPLE_RATE = 16000
 COLA_FLOOR = 1e-12
 
 WINDOW_KINDS = ("hann", "rectangular")
+
+# Distinct (config, frame count, origin length) triples whose overlap-added
+# window power is kept; one entry is a float per output sample.
+DENOMINATOR_CACHE_SIZE = 64
 
 
 def wrap_phase(angles) -> np.ndarray:
@@ -90,12 +96,21 @@ class StftConfig:
         return self.fft_length // 2 + 1
 
     def window(self) -> np.ndarray:
-        if self.window_kind == "hann":
-            # Periodic Hann: the variant whose shifted squares overlap-add
-            # to a strictly positive sum for hop <= window/2.
-            n = np.arange(self.window_length)
-            return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / self.window_length)
-        return np.ones(self.window_length)
+        """The analysis window; one shared read-only array per kind and length."""
+        return _window(self.window_kind, self.window_length)
+
+
+@lru_cache(maxsize=16)
+def _window(kind: str, length: int) -> np.ndarray:
+    if kind == "hann":
+        # Periodic Hann: the variant whose shifted squares overlap-add
+        # to a strictly positive sum for hop <= window/2.
+        n = np.arange(length)
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
+    else:
+        window = np.ones(length)
+    window.setflags(write=False)
+    return window
 
 
 @dataclass
@@ -195,9 +210,65 @@ def _analyze(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
         padded = x
     if padded.shape[0] < target:
         padded = np.pad(padded, (0, target - padded.shape[0]))
-    idx = hop * np.arange(frames)[:, None] + np.arange(w)[None, :]
-    segments = padded[idx] * cfg.window()
+    segments = sliding_window_view(padded, w)[::hop] * cfg.window()
     return np.fft.rfft(segments, n=cfg.fft_length, axis=1)
+
+
+def _overlap_add(segments: np.ndarray, hop: int) -> np.ndarray:
+    """Sum frame ``m`` of ``segments`` into samples ``m*hop ...``.
+
+    One vectorized add per hop-sized offset within the window. Offsets run
+    from last to first, so every sample sums its frames in frame order, as a
+    frame-by-frame loop would.
+    """
+    frames, w = segments.shape
+    offsets = _ceil_div(w, hop)
+    acc = np.zeros((frames + offsets - 1, hop))
+    for k in reversed(range(offsets)):
+        lo = k * hop
+        width = min(hop, w - lo)
+        acc[k : k + frames, :width] += segments[:, lo : lo + width]
+    return acc.reshape(-1)[: (frames - 1) * hop + w]
+
+
+def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
+    """Map an overlap-added buffer onto the ``length`` source samples."""
+    pad = cfg.window_length // 2 if cfg.center else 0
+    total = buffer.shape[0]
+    out = np.zeros(length)
+    covered = min(length, max(total - pad, 0))
+    out[:covered] = buffer[pad : pad + covered]
+    if cfg.center and length > 1:
+        # Fold the windowed energy that landed on reflected padding back onto
+        # the source samples; with this, synthesis is the exact least-squares
+        # inverse of the centered analysis operator.
+        t_left = np.arange(1, min(pad, length - 1) + 1)
+        out[t_left] += buffer[pad - t_left]
+        q = np.arange(pad)
+        t_right = length - 2 - q
+        p_right = pad + length + q
+        keep = (t_right >= 0) & (p_right < total)
+        out[t_right[keep]] += buffer[p_right[keep]]
+    return out[:covered]
+
+
+@lru_cache(maxsize=DENOMINATOR_CACHE_SIZE)
+def _denominator(cfg: StftConfig, frames: int, length: int) -> np.ndarray:
+    """Folded overlap-added window power of the covered samples, read-only.
+
+    Raises ``ValueError`` when it falls below ``COLA_FLOOR`` anywhere.
+    """
+    window = cfg.window()
+    wsq = np.broadcast_to(window * window, (frames, cfg.window_length))
+    core = _fold(_overlap_add(wsq, cfg.hop_length), cfg, length)
+    if np.any(core < COLA_FLOOR):
+        t = int(np.argmax(core < COLA_FLOOR))
+        raise ValueError(
+            f"overlap-added window power {core[t]:.3g} at sample {t} is below {COLA_FLOOR}; "
+            "this window/hop/centering combination is not invertible"
+        )
+    core.setflags(write=False)
+    return core
 
 
 def _synthesize(values: np.ndarray, cfg: StftConfig, origin_length: int) -> np.ndarray:
@@ -206,51 +277,12 @@ def _synthesize(values: np.ndarray, cfg: StftConfig, origin_length: int) -> np.n
         raise ValueError(
             f"expected a (frames, {cfg.n_bins}) array for this config, got shape {values.shape}"
         )
-    frames = values.shape[0]
-    w, hop = cfg.window_length, cfg.hop_length
     length = int(origin_length)
-    window = cfg.window()
-
-    segments = np.fft.irfft(values, n=cfg.fft_length, axis=1)[:, :w] * window
-    total = (frames - 1) * hop + w
-    num = np.zeros(total)
-    den = np.zeros(total)
-    wsq = window * window
-    for m in range(frames):
-        lo = m * hop
-        num[lo : lo + w] += segments[m]
-        den[lo : lo + w] += wsq
-
-    pad = w // 2 if cfg.center else 0
-    out_num = np.zeros(length)
-    out_den = np.zeros(length)
-    covered = min(length, max(total - pad, 0))
-    out_num[:covered] = num[pad : pad + covered]
-    out_den[:covered] = den[pad : pad + covered]
-
-    if cfg.center and length > 1:
-        # Fold the windowed energy that landed on reflected padding back onto
-        # the source samples; with this, synthesis is the exact least-squares
-        # inverse of the centered analysis operator.
-        t_left = np.arange(1, min(pad, length - 1) + 1)
-        out_num[t_left] += num[pad - t_left]
-        out_den[t_left] += den[pad - t_left]
-        q = np.arange(pad)
-        t_right = length - 2 - q
-        p_right = pad + length + q
-        keep = (t_right >= 0) & (p_right < total)
-        out_num[t_right[keep]] += num[p_right[keep]]
-        out_den[t_right[keep]] += den[p_right[keep]]
-
-    core = out_den[:covered]
-    if np.any(core < COLA_FLOOR):
-        t = int(np.argmax(core < COLA_FLOOR))
-        raise ValueError(
-            f"overlap-added window power {core[t]:.3g} at sample {t} is below {COLA_FLOOR}; "
-            "this window/hop/centering combination is not invertible"
-        )
+    core = _denominator(cfg, values.shape[0], length)
+    w = cfg.window_length
+    segments = np.fft.irfft(values, n=cfg.fft_length, axis=1)[:, :w] * cfg.window()
     out = np.zeros(length)
-    out[:covered] = out_num[:covered] / core
+    out[: core.shape[0]] = _fold(_overlap_add(segments, cfg.hop_length), cfg, length) / core
     return out
 
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,3 +142,9 @@ def test_persist_run_stamps_fingerprint_into_rows(tmp_path):
     manifest = json.loads(path.read_text())
     results = json.loads((tmp_path / "stamp" / "results.json").read_text())
     assert all(r["fingerprint"] == manifest["fingerprint"] for r in results["rows"])
+
+
+def test_importing_the_cli_does_not_load_scipy_io():
+    code = "import sys, msgla.cli; print('scipy.io' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from msgla import reconstruct
 from msgla.geometry import (
     cosine_phase_candidates,
     nearest_candidate_distance,
@@ -10,7 +15,15 @@ from msgla.geometry import (
 from msgla.harness import synthesize_mixture
 from msgla.metrics import bin_weights, phase_cos_sim, si_snr
 from msgla.reconstruct import Estimates, ReconConfig, enhance, gla, nm_msgla, np_msgla
-from msgla.spectral import StftConfig, Waveform, consistency_project, decompose, istft, stft
+from msgla.spectral import (
+    Spectrogram,
+    StftConfig,
+    Waveform,
+    consistency_project,
+    decompose,
+    istft,
+    stft,
+)
 
 CFG = StftConfig()
 
@@ -255,3 +268,127 @@ def test_enhance_deterministic():
     b, rb = enhance(noisy, "nm", est)
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(ra.final_phase, rb.final_phase)
+
+
+def _spoiled(arr, defect):
+    if defect == "shape":
+        return arr[:, :-1]
+    arr = np.array(arr)
+    arr[2, 3] = {"nan": np.nan, "inf": np.inf, "negative": -1.0}[defect]
+    return arr
+
+
+def _all_estimates(seed):
+    tri, noisy, mag_speech, phase_speech, mag_noise, phase_noise = _mixture(seed=seed)
+    mag_mix, phase_mix = decompose(noisy)
+    cand = cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise)
+    sign = oracle_sign(cand, phase_speech)
+    fields = dict(mag_speech=mag_speech, mag_noise=mag_noise, phase_noise=phase_noise, sign=sign)
+    return noisy, fields
+
+
+def _refuse_projection(*args, **kwargs):
+    raise AssertionError("an estimate was used before it was validated")
+
+
+DEFECTS = ("nan", "inf", "negative", "shape")
+BAD_ESTIMATES = [
+    (method, name, defect)
+    for method, names in (
+        ("gla", ("mag_speech",)),
+        ("nm", ("mag_speech", "mag_noise")),
+        ("np", ("mag_speech", "phase_noise")),
+        ("sign", ("mag_speech", "mag_noise")),
+    )
+    for name in names
+    for defect in DEFECTS
+    if not (name == "phase_noise" and defect == "negative")
+]
+
+
+@pytest.mark.parametrize("method, name, defect", BAD_ESTIMATES)
+def test_enhance_rejects_bad_estimates_up_front(monkeypatch, method, name, defect):
+    noisy, fields = _all_estimates(seed=19)
+    fields[name] = _spoiled(fields[name], defect)
+    monkeypatch.setattr(reconstruct, "project_values", _refuse_projection)
+    with pytest.raises(ValueError, match=name):
+        enhance(noisy, method, Estimates(**fields))
+
+
+def test_nm_exact_zero_update_keeps_previous_phase():
+    tri, noisy, mag_speech, _, mag_noise, _ = _mixture(seed=20)
+    values = noisy.values.copy()
+    values[5, 40] = 0.0
+    holed = Spectrogram(values, CFG, noisy.origin_length, noisy.sample_rate)
+    mag_noise = mag_noise.copy()
+    mag_noise[5, 40] = 0.0
+    cfg = ReconConfig(iterations=3, init="random", seed=1)
+    report = nm_msgla(holed, mag_speech, mag_noise, cfg)
+    # the update mixture - |N| e^{j phase_noise} is exactly zero at (5, 40)
+    assert report.final_phase[5, 40] == report.phases[0][5, 40] != 0.0
+    assert np.mean(report.final_phase != report.phases[0]) > 0.9
+
+
+def test_np_exact_zero_update_keeps_previous_phase():
+    shape = (9, CFG.n_bins)
+    silent = Spectrogram(np.zeros(shape), CFG, 2048)
+    phase_noise = np.random.default_rng(21).uniform(-np.pi, np.pi, shape)
+    report = np_msgla(
+        silent, np.zeros(shape), phase_noise, ReconConfig(iterations=3, init="random", seed=2)
+    )
+    assert np.any(report.phases[0] != 0.0)
+    assert np.array_equal(report.final_phase, report.phases[0])
+
+
+SMALL_CFG = StftConfig(window_length=32, hop_length=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(["gla", "nm", "np"]),
+    kind=st.sampled_from(["zero", "tiny", "violating"]),
+    init=st.sampled_from(["noisy", "zero", "random"]),
+    frames=st.integers(3, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loops_stay_finite_on_unit_phasors(method, kind, init, frames, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((frames - 1) * SMALL_CFG.hop_length)
+    noisy = stft(Waveform(x, 16000), SMALL_CFG)
+    mag_mix, phase_mix = decompose(noisy)
+    shape = mag_mix.shape
+    if kind == "zero":
+        mag_speech, mag_noise = np.zeros(shape), np.zeros(shape)
+    elif kind == "tiny":
+        mag_speech, mag_noise = np.full(shape, 1e-300), np.full(shape, 1e-300)
+    else:  # both far longer than the mixture, or both far shorter
+        scale = rng.choice([1e-3, 10.0], size=shape)
+        mag_speech = scale * mag_mix * rng.uniform(0.5, 1.0, shape)
+        mag_noise = scale * mag_mix * rng.uniform(0.5, 1.0, shape)
+    phase_noise = rng.uniform(-np.pi, np.pi, shape)
+    cfg = ReconConfig(iterations=4, init=init, seed=seed)
+
+    phasors = []
+
+    def recorded(z, values):
+        out = real_phasor(z, values)
+        phasors.append(out)
+        return out
+
+    real_phasor = reconstruct._phasor
+    with mock.patch.object(reconstruct, "_phasor", recorded):
+        if method == "gla":
+            report = gla(mag_speech, cfg, SMALL_CFG, origin_length=len(x), noisy_phase=phase_mix)
+        elif method == "nm":
+            report = nm_msgla(noisy, mag_speech, mag_noise, cfg)
+        else:
+            report = np_msgla(noisy, mag_speech, phase_noise, cfg)
+
+    assert len(phasors) == {"gla": 1, "nm": 3, "np": 2}[method] * cfg.iterations
+    for z in phasors:
+        assert np.all(np.isfinite(z))
+        assert np.max(np.abs(np.abs(z) - 1.0)) < 1e-12
+    for phase in report.phases:
+        assert np.all(np.isfinite(phase))
+        assert np.all(phase >= -np.pi) and np.all(phase < np.pi)
+    assert all(np.isfinite(entry.inconsistency) for entry in report.per_iteration)

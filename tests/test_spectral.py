@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msgla.spectral import (
+    COLA_FLOOR,
     Spectrogram,
     StftConfig,
     Waveform,
@@ -11,6 +14,10 @@ from msgla.spectral import (
     istft,
     project_values,
     recompose,
+    _analyze,
+    _denominator,
+    _synthesize,
+    frame_count,
     stft,
     wrap_phase,
 )
@@ -254,3 +261,108 @@ def test_canonical_length_round_trip():
             continue
         x = np.random.default_rng(frames).standard_normal(n)
         assert stft(Waveform(x, 16000), cfg).n_frames == frames
+
+
+def _reference_synthesize(values, cfg, origin_length):
+    """Frame-by-frame overlap-add: the plain form of the least-squares inverse."""
+    frames = values.shape[0]
+    w, hop = cfg.window_length, cfg.hop_length
+    length = int(origin_length)
+    window = cfg.window()
+    segments = np.fft.irfft(values, n=cfg.fft_length, axis=1)[:, :w] * window
+    total = (frames - 1) * hop + w
+    num = np.zeros(total)
+    den = np.zeros(total)
+    wsq = window * window
+    for m in range(frames):
+        num[m * hop : m * hop + w] += segments[m]
+        den[m * hop : m * hop + w] += wsq
+    pad = w // 2 if cfg.center else 0
+    out_num = np.zeros(length)
+    out_den = np.zeros(length)
+    covered = min(length, max(total - pad, 0))
+    out_num[:covered] = num[pad : pad + covered]
+    out_den[:covered] = den[pad : pad + covered]
+    if cfg.center and length > 1:
+        t_left = np.arange(1, min(pad, length - 1) + 1)
+        out_num[t_left] += num[pad - t_left]
+        out_den[t_left] += den[pad - t_left]
+        q = np.arange(pad)
+        t_right = length - 2 - q
+        p_right = pad + length + q
+        keep = (t_right >= 0) & (p_right < total)
+        out_num[t_right[keep]] += num[p_right[keep]]
+        out_den[t_right[keep]] += den[p_right[keep]]
+    core = out_den[:covered]
+    if np.any(core < COLA_FLOOR):
+        t = int(np.argmax(core < COLA_FLOOR))
+        raise ValueError(
+            f"overlap-added window power {core[t]:.3g} at sample {t} is below {COLA_FLOOR}; "
+            "this window/hop/centering combination is not invertible"
+        )
+    out = np.zeros(length)
+    out[:covered] = out_num[:covered] / core
+    return out
+
+
+def _reference_analyze(x, cfg):
+    """Frame-by-frame slicing of the padded signal."""
+    w, hop = cfg.window_length, cfg.hop_length
+    frames = frame_count(x.shape[0], cfg)
+    padded = np.pad(x, (w // 2, w // 2), mode="reflect") if cfg.center else x
+    padded = np.pad(padded, (0, max((frames - 1) * hop + w - padded.shape[0], 0)))
+    segments = np.stack([padded[m * hop : m * hop + w] for m in range(frames)])
+    return np.fft.rfft(segments * cfg.window(), n=cfg.fft_length, axis=1)
+
+
+@st.composite
+def _configs(draw):
+    w = draw(st.integers(2, 40))
+    return StftConfig(
+        window_length=w,
+        hop_length=draw(st.integers(1, w)),
+        window_kind=draw(st.sampled_from(["hann", "rectangular"])),
+        fft_length=w + draw(st.integers(0, 5)),
+        center=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs(), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_analyze_matches_frame_by_frame_reference(cfg, n, seed):
+    n = max(n, cfg.window_length // 2 + 1) if cfg.center else n
+    x = np.random.default_rng(seed).standard_normal(n)
+    assert np.array_equal(_analyze(x, cfg), _reference_analyze(x, cfg))
+
+
+@st.composite
+def _synthesis_cases(draw):
+    cfg = draw(_configs())
+    frames = draw(st.integers(1, 9))
+    length = draw(st.integers(0, (frames + 1) * cfg.hop_length + cfg.window_length))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (frames, cfg.n_bins)
+    return cfg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), length
+
+
+@settings(max_examples=300, deadline=None)
+@given(_synthesis_cases())
+def test_synthesize_matches_frame_by_frame_reference(case):
+    cfg, values, length = case
+    try:
+        expected = _reference_synthesize(values, cfg, length)
+    except ValueError as err:
+        with pytest.raises(ValueError) as raised:
+            _synthesize(values, cfg, length)
+        assert str(raised.value) == str(err)
+        return
+    assert np.array_equal(_synthesize(values, cfg, length), expected)
+
+
+def test_cached_window_and_denominator_are_read_only():
+    window = StftConfig().window()
+    assert window is StftConfig().window()
+    with pytest.raises(ValueError, match="read-only"):
+        window[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        _denominator(StftConfig(), 9, 2048)[0] = 1.0
