@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--sample-rate", dest="sample_rate", type=int, help="sample rate (default 16000)")
     exp.add_argument("--iters", type=int, help="phase update iterations (default 5)")
     exp.add_argument("--init", choices=("noisy", "zero", "random"), help="initial phase")
-    exp.add_argument("--jobs", type=int, help="parallel experiment cells (default: logical cores)")
+    exp.add_argument("--jobs", type=int, help="mixtures run in parallel threads (default: logical cores)")
     _add_stft_flags(exp)
     exp.set_defaults(func=lambda a: cmd_oracle_exp(_merge_config(ORACLE_EXP_DEFAULTS, a)))
 

@@ -242,6 +242,27 @@ def perturb_phase(phase: np.ndarray, std: float, rng: np.random.Generator) -> np
     return wrap_phase(phase + std * rng.standard_normal(phase.shape))
 
 
+def _provided(provider: EstimateProvider, quantity: str, exact: dict, mixture_seed: int) -> np.ndarray:
+    """One quantity as ``provider`` supplies it, from a mixture's exact spectra.
+
+    ``exact`` maps quantity names to the mixture's exact arrays; the noisy
+    baseline reads ``mag_mix`` from it, the oracles the quantity itself.
+    """
+    if provider.kind == "noisy_baseline":
+        if quantity == "mag_speech":
+            return exact["mag_mix"]
+        if quantity == "mag_noise":
+            return np.zeros_like(exact["mag_mix"])
+        raise ValueError("noisy_baseline provider cannot supply phase_noise")
+    value = exact[quantity]
+    if provider.kind == "perturbed_oracle" and provider.noise_std > 0:
+        rng = np.random.default_rng([provider.seed, mixture_seed, _QUANTITY_TAGS[quantity]])
+        if quantity.startswith("mag"):
+            return perturb_magnitude(value, provider.noise_std, rng)
+        return perturb_phase(value, provider.noise_std, rng)
+    return value
+
+
 def provide_estimates(
     provider: EstimateProvider,
     triple: MixtureTriple,
@@ -259,31 +280,13 @@ def provide_estimates(
     unknown = [q for q in scope if q not in _QUANTITY_TAGS]
     if unknown:
         raise ValueError(f"unknown estimate quantities {unknown}")
-    out: dict[str, np.ndarray] = {}
     if provider.kind == "noisy_baseline":
-        mag_mix, _ = decompose(stft(triple.noisy, stft_cfg))
-        for quantity in scope:
-            if quantity == "mag_speech":
-                out[quantity] = mag_mix
-            elif quantity == "mag_noise":
-                out[quantity] = np.zeros_like(mag_mix)
-            else:
-                raise ValueError("noisy_baseline provider cannot supply phase_noise")
-        return Estimates(**out)
-
-    mag_speech, _ = decompose(stft(triple.clean, stft_cfg))
-    mag_noise, phase_noise = decompose(stft(triple.noise, stft_cfg))
-    exact = {"mag_speech": mag_speech, "mag_noise": mag_noise, "phase_noise": phase_noise}
-    for quantity in scope:
-        value = exact[quantity]
-        if provider.kind == "perturbed_oracle" and provider.noise_std > 0:
-            rng = np.random.default_rng([provider.seed, triple.seed, _QUANTITY_TAGS[quantity]])
-            if quantity.startswith("mag"):
-                value = perturb_magnitude(value, provider.noise_std, rng)
-            else:
-                value = perturb_phase(value, provider.noise_std, rng)
-        out[quantity] = value
-    return Estimates(**out)
+        exact = {"mag_mix": decompose(stft(triple.noisy, stft_cfg))[0]}
+    else:
+        mag_speech, _ = decompose(stft(triple.clean, stft_cfg))
+        mag_noise, phase_noise = decompose(stft(triple.noise, stft_cfg))
+        exact = {"mag_speech": mag_speech, "mag_noise": mag_noise, "phase_noise": phase_noise}
+    return Estimates(**{q: _provided(provider, q, exact, triple.seed) for q in scope})
 
 
 def default_provider_pairs(
@@ -323,12 +326,28 @@ class ResultTable:
 
 @dataclass
 class _MixtureContext:
+    """One mixture's spectra, computed once and shared by all of its cells.
+
+    ``spectra`` holds the read-only magnitude and phase of the noisy, clean
+    and noise STFTs (``mag_mix``, ``phase_mix``, ``mag_speech``, ...).
+    ``supplied`` caches each provider's estimate of each quantity.
+    """
+
     spec: MixtureSpec
     triple: MixtureTriple
     noisy_spec: Spectrogram
-    phase_speech: np.ndarray
+    spectra: dict[str, np.ndarray]
     si_snr_noisy: float
     cos_sim_noisy: float
+    supplied: dict[tuple[EstimateProvider, str], np.ndarray] = field(default_factory=dict)
+
+    def estimate(self, provider: EstimateProvider, quantity: str) -> np.ndarray:
+        key = (provider, quantity)
+        if key not in self.supplied:
+            value = _provided(provider, quantity, self.spectra, self.spec.seed)
+            value.setflags(write=False)
+            self.supplied[key] = value
+        return self.supplied[key]
 
 
 def _mixture_context(spec: MixtureSpec, stft_cfg: StftConfig) -> _MixtureContext:
@@ -342,15 +361,19 @@ def _mixture_context(spec: MixtureSpec, stft_cfg: StftConfig) -> _MixtureContext
         noise_path=spec.noise_path,
     )
     noisy_spec = stft(triple.noisy, stft_cfg)
-    _, phase_mix = decompose(noisy_spec)
-    _, phase_speech = decompose(stft(triple.clean, stft_cfg))
+    spectra = {}
+    spectra["mag_mix"], spectra["phase_mix"] = decompose(noisy_spec)
+    spectra["mag_speech"], spectra["phase_speech"] = decompose(stft(triple.clean, stft_cfg))
+    spectra["mag_noise"], spectra["phase_noise"] = decompose(stft(triple.noise, stft_cfg))
+    for array in spectra.values():
+        array.setflags(write=False)
     return _MixtureContext(
         spec=spec,
         triple=triple,
         noisy_spec=noisy_spec,
-        phase_speech=phase_speech,
+        spectra=spectra,
         si_snr_noisy=si_snr(triple.noisy, triple.clean),
-        cos_sim_noisy=phase_cos_sim(phase_mix, phase_speech),
+        cos_sim_noisy=phase_cos_sim(spectra["phase_mix"], spectra["phase_speech"]),
     )
 
 
@@ -362,41 +385,29 @@ def _run_cell(
     fingerprint: str,
 ) -> dict:
     stft_cfg = ctx.noisy_spec.config
-    needs = METHOD_NEEDS[method]
     estimates = Estimates()
     if pair is None:
         speech_label = noise_label = "-"
     else:
         speech_provider, noise_provider = pair
         speech_label, noise_label = speech_provider.label(), noise_provider.label()
-        speech_scope = tuple(q for q in needs if q == "mag_speech")
-        noise_scope = tuple(q for q in needs if q != "mag_speech")
-        if speech_scope:
-            estimates.mag_speech = provide_estimates(
-                speech_provider, ctx.triple, stft_cfg, speech_scope
-            ).mag_speech
-        if noise_scope:
-            supplied = provide_estimates(noise_provider, ctx.triple, stft_cfg, noise_scope)
-            estimates.mag_noise = supplied.mag_noise
-            estimates.phase_noise = supplied.phase_noise
+        for quantity in METHOD_NEEDS[method]:
+            provider = speech_provider if quantity == "mag_speech" else noise_provider
+            setattr(estimates, quantity, ctx.estimate(provider, quantity))
+    spectra = ctx.spectra
     if method == "sign":
-        mag_mix, phase_mix = decompose(ctx.noisy_spec)
         cand = cosine_phase_candidates(
-            mag_mix, phase_mix, estimates.mag_speech, estimates.mag_noise
+            spectra["mag_mix"], spectra["phase_mix"], estimates.mag_speech, estimates.mag_noise
         )
-        estimates.sign = oracle_sign(cand, ctx.phase_speech)
+        estimates.sign = oracle_sign(cand, spectra["phase_speech"])
 
     enhanced, report = enhance(ctx.noisy_spec, method, estimates, recon_cfg)
-    mag_used = (
-        estimates.mag_speech
-        if estimates.mag_speech is not None
-        else decompose(ctx.noisy_spec)[0]
-    )
+    mag_used = estimates.mag_speech if estimates.mag_speech is not None else spectra["mag_mix"]
     row_metrics = metric_row(
         enhanced,
         ctx.triple.clean,
         report.final_phase,
-        ctx.phase_speech,
+        spectra["phase_speech"],
         mag_used,
         stft_cfg,
         ctx.noisy_spec.origin_length,
@@ -422,45 +433,46 @@ def _run_cell(
 def run_experiment(spec: ExperimentSpec, jobs: int = 1, fingerprint: str = "") -> ResultTable:
     """Run every (method x provider pair x mixture) cell and append means.
 
+    Cells run mixture by mixture: one mixture's spectra are computed once,
+    shared by all of its cells and dropped before the next mixture. With
+    ``jobs > 1`` a thread pool splits the mixtures, not the cells.
+
     Rows are grouped by method, then provider pair (exact-first order), then
     mixture, and the ordering is independent of ``jobs``. Mean rows, one per
     (method, provider pair), follow the cell rows.
     """
     if not spec.mixtures:
         return ResultTable(columns=list(RESULT_COLUMNS), rows=[])
-    contexts = [_mixture_context(m, spec.stft_cfg) for m in spec.mixtures]
+    cells = [
+        (method, pair)
+        for method in spec.methods
+        for pair in (spec.provider_pairs if METHOD_NEEDS[method] else [None])
+    ]
 
-    cells: list[tuple[_MixtureContext, str, tuple | None]] = []
-    for method in spec.methods:
-        pairs = spec.provider_pairs if METHOD_NEEDS[method] else [None]
-        for pair in pairs:
-            for ctx in contexts:
-                cells.append((ctx, method, pair))
+    def mixture_rows(mixture: MixtureSpec) -> list[dict]:
+        ctx = _mixture_context(mixture, spec.stft_cfg)
+        return [_run_cell(ctx, method, pair, spec.recon_cfg, fingerprint) for method, pair in cells]
 
-    log.info("running %d experiment cells with %d worker(s)", len(cells), jobs)
+    log.info(
+        "running %d experiment cells over %d mixture(s) with %d worker(s)",
+        len(cells) * len(spec.mixtures),
+        len(spec.mixtures),
+        jobs,
+    )
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(
-                    lambda c: _run_cell(c[0], c[1], c[2], spec.recon_cfg, fingerprint), cells
-                )
-            )
+            per_mixture = list(pool.map(mixture_rows, spec.mixtures))
     else:
-        rows = [_run_cell(ctx, method, pair, spec.recon_cfg, fingerprint) for ctx, method, pair in cells]
+        per_mixture = [mixture_rows(mixture) for mixture in spec.mixtures]
+    # Back to method -> pair -> mixture order: cell i of every mixture in turn.
+    rows = [row for cell_rows in zip(*per_mixture) for row in cell_rows]
 
-    aggregates: list[dict] = []
-    seen: list[tuple[str, str, str]] = []
+    groups: dict[tuple[str, str, str], list[dict]] = {}
     for row in rows:
         key = (row["method"], row["speech_provider"], row["noise_provider"])
-        if key not in seen:
-            seen.append(key)
-    for method, speech_label, noise_label in seen:
-        group = [
-            r
-            for r in rows
-            if (r["method"], r["speech_provider"], r["noise_provider"])
-            == (method, speech_label, noise_label)
-        ]
+        groups.setdefault(key, []).append(row)
+    aggregates: list[dict] = []
+    for (method, speech_label, noise_label), group in groups.items():
         aggregate = {
             "row_kind": "mean",
             "method": method,

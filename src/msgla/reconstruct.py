@@ -305,11 +305,12 @@ def enhance(
     method = method.lower()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    mag_mix, phase_mix = decompose(noisy)
+    # nm and np decompose the mixture inside their own loop.
+    mag_mix, phase_mix = decompose(noisy) if method in ("passthrough", "gla", "sign") else (None, None)
 
     def needed(name: str, nonnegative: bool = True) -> np.ndarray:
         value = _require(getattr(est, name), method, name)
-        return _estimate(name, value, mag_mix.shape, nonnegative=nonnegative)
+        return _estimate(name, value, noisy.values.shape, nonnegative=nonnegative)
 
     def one_shot(mag, phase) -> ReconReport:
         no_loop = replace(cfg, iterations=0)

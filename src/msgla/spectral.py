@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "DEFAULT_SAMPLE_RATE",
@@ -50,7 +50,10 @@ DENOMINATOR_CACHE_SIZE = 64
 def wrap_phase(angles) -> np.ndarray:
     """Map angles into the principal interval [-pi, pi)."""
     a = np.asarray(angles, dtype=np.float64)
-    return np.mod(a + np.pi, 2.0 * np.pi) - np.pi
+    shifted = np.mod(a + np.pi, 2.0 * np.pi)
+    # Just below -pi, a + pi is a tiny negative number that np.mod rounds up
+    # to exactly 2*pi, which would wrap to +pi.
+    return np.where(shifted == 2.0 * np.pi, 0.0, shifted) - np.pi
 
 
 def angular_distance(a, b) -> np.ndarray:
@@ -198,19 +201,20 @@ def _analyze(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     n = x.shape[0]
     w, hop = cfg.window_length, cfg.hop_length
     frames = frame_count(n, cfg)
-    target = (frames - 1) * hop + w
-    if cfg.center:
-        pad = w // 2
-        if n < pad + 1:
-            raise ValueError(
-                f"signal of length {n} is too short for centered analysis with window {w}"
-            )
-        padded = np.pad(x, (pad, pad), mode="reflect")
-    else:
-        padded = x
-    if padded.shape[0] < target:
-        padded = np.pad(padded, (0, target - padded.shape[0]))
-    segments = sliding_window_view(padded, w)[::hop] * cfg.window()
+    pad = w // 2 if cfg.center else 0
+    if cfg.center and n < pad + 1:
+        raise ValueError(
+            f"signal of length {n} is too short for centered analysis with window {w}"
+        )
+    # One buffer holds the reflect padding, the signal and the zero tail that
+    # fills the last frame; (frames - 1) * hop + w >= n + 2 * pad always.
+    padded = np.zeros((frames - 1) * hop + w)
+    padded[pad : pad + n] = x
+    if pad:
+        padded[:pad] = x[pad:0:-1]
+        padded[pad + n : n + 2 * pad] = x[::-1][1 : pad + 1]
+    step = padded.strides[0]
+    segments = as_strided(padded, (frames, w), (hop * step, step), writeable=False) * cfg.window()
     return np.fft.rfft(segments, n=cfg.fft_length, axis=1)
 
 

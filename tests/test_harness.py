@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from msgla import harness
 from msgla.audio_io import write_wav
+from msgla.geometry import cosine_phase_candidates, oracle_sign
 from msgla.harness import (
+    METHOD_NEEDS,
     EstimateProvider,
     ExperimentSpec,
     MixtureSpec,
@@ -12,8 +15,8 @@ from msgla.harness import (
     run_experiment,
     synthesize_mixture,
 )
-from msgla.metrics import phase_cos_sim
-from msgla.reconstruct import ReconConfig
+from msgla.metrics import metric_row, phase_cos_sim, si_snr
+from msgla.reconstruct import METHODS, Estimates, ReconConfig, enhance
 from msgla.spectral import StftConfig, Waveform, decompose, stft
 
 CFG = StftConfig()
@@ -219,3 +222,97 @@ def test_degradation_monotone():
         mean_row = [r for r in table.rows if r["row_kind"] == "mean"][0]
         means.append(mean_row["phase_cos_sim"])
     assert means[0] >= means[1] >= means[2]
+
+
+def _reuse_spec():
+    pairs = default_provider_pairs(0.3, 0) + [
+        (EstimateProvider("noisy_baseline"), EstimateProvider("perturbed_oracle", 0.5, 2))
+    ]
+    return ExperimentSpec(
+        mixtures=[
+            MixtureSpec("harmonic", 0.0, 0.25, 16000, 3),
+            MixtureSpec("speech_shaped", -4.0, 0.25, 16000, 4),
+        ],
+        methods=list(METHODS),
+        provider_pairs=pairs,
+        stft_cfg=CFG,
+        recon_cfg=ReconConfig(iterations=3, trace=False),
+    )
+
+
+def _cell_by_cell(spec):
+    """Cell rows built one cell at a time from the public functions alone."""
+    rows = []
+    for method in spec.methods:
+        needs = METHOD_NEEDS[method]
+        for pair in spec.provider_pairs if needs else [None]:
+            for m in spec.mixtures:
+                triple = synthesize_mixture(m.kind, m.snr_db, m.duration_s, m.sample_rate, m.seed)
+                noisy = stft(triple.noisy, CFG)
+                mag_mix, phase_mix = decompose(noisy)
+                _, phase_speech = decompose(stft(triple.clean, CFG))
+                est = Estimates()
+                labels = ("-", "-")
+                if pair is not None:
+                    labels = (pair[0].label(), pair[1].label())
+                    est.mag_speech = provide_estimates(pair[0], triple, CFG, ("mag_speech",)).mag_speech
+                    if needs[1:]:
+                        noise = provide_estimates(pair[1], triple, CFG, needs[1:])
+                        est.mag_noise, est.phase_noise = noise.mag_noise, noise.phase_noise
+                if method == "sign":
+                    cand = cosine_phase_candidates(mag_mix, phase_mix, est.mag_speech, est.mag_noise)
+                    est.sign = oracle_sign(cand, phase_speech)
+                wave, report = enhance(noisy, method, est, spec.recon_cfg)
+                mag_used = est.mag_speech if est.mag_speech is not None else mag_mix
+                row = metric_row(
+                    wave, triple.clean, report.final_phase, phase_speech, mag_used, CFG, noisy.origin_length
+                )
+                rows.append(
+                    {
+                        "row_kind": "cell",
+                        "method": method,
+                        "speech_provider": labels[0],
+                        "noise_provider": labels[1],
+                        "mixture_kind": m.kind,
+                        "mixture_seed": m.seed,
+                        "snr_db": m.snr_db,
+                        "si_snr_db": row.si_snr_db,
+                        "snr_db_plain": row.snr_db_plain,
+                        "phase_cos_sim": row.phase_cos_sim,
+                        "inconsistency": row.inconsistency,
+                        "si_snr_noisy_db": si_snr(triple.noisy, triple.clean),
+                        "phase_cos_sim_noisy": phase_cos_sim(phase_mix, phase_speech),
+                        "fingerprint": "fp",
+                    }
+                )
+    return rows
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_experiment_shared_spectra_match_cell_by_cell(jobs):
+    spec = _reuse_spec()
+    expected = _cell_by_cell(spec)
+    table = run_experiment(spec, jobs=jobs, fingerprint="fp")
+    cells = [r for r in table.rows if r["row_kind"] == "cell"]
+    assert cells == expected  # exact float equality, in method -> pair -> mixture order
+    means = [r for r in table.rows if r["row_kind"] == "mean"]
+    groups = [expected[i : i + len(spec.mixtures)] for i in range(0, len(expected), len(spec.mixtures))]
+    assert len(means) == len(groups)
+    for mean, group in zip(means, groups):
+        for column in ("method", "speech_provider", "noise_provider"):
+            assert mean[column] == group[0][column]
+        for column in RESULT_COLUMNS[7:13]:
+            assert mean[column] == float(np.mean([r[column] for r in group]))
+
+
+def test_run_experiment_analyzes_each_signal_once(monkeypatch):
+    calls = []
+
+    def counting_stft(x, cfg=None):
+        calls.append(x)
+        return stft(x, cfg)
+
+    monkeypatch.setattr(harness, "stft", counting_stft)
+    spec = _reuse_spec()
+    run_experiment(spec)
+    assert len(calls) == 3 * len(spec.mixtures)  # noisy, clean and noise, once each

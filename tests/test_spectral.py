@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msgla.spectral import (
@@ -21,7 +21,7 @@ from msgla.spectral import (
     stft,
     wrap_phase,
 )
-from msgla.metrics import inconsistency
+from msgla.metrics import bin_weights, inconsistency
 
 
 def _naive_dft(frame: np.ndarray, n_fft: int) -> np.ndarray:
@@ -65,6 +65,23 @@ def test_wrap_phase_range():
     assert np.all(wrapped >= -np.pi)
     assert np.all(wrapped < np.pi)
     assert np.allclose(np.exp(1j * wrapped), np.exp(1j * angles), atol=1e-12)
+
+
+_PI_NEIGHBOURS = [
+    float(np.nextafter(k * np.pi, direction))
+    for k in (-3, -1, 1, 3)
+    for direction in (-np.inf, np.inf)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_PI_NEIGHBOURS)))
+@example(_PI_NEIGHBOURS[2])  # just below -pi, where np.mod rounds up to 2*pi
+def test_wrap_phase_range_and_congruence(angle):
+    wrapped = wrap_phase(angle)
+    assert -np.pi <= wrapped < np.pi
+    turns = np.round((angle - wrapped) / (2 * np.pi))
+    assert abs(angle - wrapped - turns * 2 * np.pi) < 1e-11
 
 
 def test_stft_zero_signal_is_zero():
@@ -366,3 +383,48 @@ def test_cached_window_and_denominator_are_read_only():
         window[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         _denominator(StftConfig(), 9, 2048)[0] = 1.0
+
+
+@st.composite
+def _projection_cases(draw):
+    """An invertible config, a signal length and two random spectrograms."""
+    w = draw(st.integers(4, 48))
+    center = draw(st.booleans())
+    # Uncentered periodic Hann has w[0] = 0, so sample 0 is never covered.
+    cfg = StftConfig(
+        window_length=w,
+        hop_length=draw(st.integers(1, w // 2)),
+        window_kind=draw(st.sampled_from(["hann", "rectangular"])) if center else "rectangular",
+        fft_length=w + draw(st.integers(0, 3)),
+        center=center,
+    )
+    length = draw(st.integers(w // 2 + 1 if center else 1, 6 * w))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (frame_count(length, cfg), cfg.n_bins)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    return cfg, length, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_projection_cases())
+def test_projection_is_idempotent(case):
+    cfg, length, a, _ = case
+    once = project_values(a, cfg, length)
+    twice = project_values(once, cfg, length)
+    assert np.max(np.abs(twice - once)) < 1e-10 * max(np.max(np.abs(once)), 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_projection_cases())
+def test_projection_is_self_adjoint_under_bin_weights(case):
+    # Re<u, v>_w sums Re(conj(u) v) over the full conjugate-symmetric spectrum.
+    cfg, length, a, b = case
+    weights = bin_weights(cfg)
+
+    def inner(u, v):
+        return float(np.sum(weights * (np.conj(u) * v).real))
+
+    left = inner(project_values(a, cfg, length), b)
+    right = inner(a, project_values(b, cfg, length))
+    scale = np.sqrt(inner(a, a) * inner(b, b))
+    assert abs(left - right) <= 1e-12 * scale
