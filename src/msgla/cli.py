@@ -50,7 +50,6 @@ _STFT_DEFAULTS = {
     "window": 512,
     "hop": 256,
     "fft": None,
-    "no_center": False,
 }
 
 ENHANCE_DEFAULTS = {
@@ -107,7 +106,6 @@ def _stft_config(cfg: dict) -> StftConfig:
         window_length=int(cfg["window"]),
         hop_length=int(cfg["hop"]),
         fft_length=None if cfg["fft"] is None else int(cfg["fft"]),
-        center=not cfg["no_center"],
     )
 
 
@@ -288,7 +286,6 @@ def cmd_oracle_exp(cfg: dict) -> int:
             "window",
             "hop",
             "fft",
-            "no_center",
         )
     }
     science["phase_cos_sim_weighting"] = "unweighted"
@@ -433,9 +430,6 @@ def _add_stft_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window", type=int, help="analysis window length in samples (default 512)")
     parser.add_argument("--hop", type=int, help="hop size in samples (default 256)")
     parser.add_argument("--fft", type=int, help="FFT length (default: window length)")
-    parser.add_argument(
-        "--no-center", action="store_true", help="left-align frames instead of centering"
-    )
     parser.add_argument("--config", help="JSON file of flag defaults (flags still win)")
 
 

@@ -143,21 +143,53 @@ def _estimate(name: str, value, shape, *, nonnegative: bool = True) -> np.ndarra
     return arr
 
 
+def _unit(values: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``values / mag`` into ``out`` wherever ``mag`` is nonzero.
+
+    The real and the imaginary part are divided separately. A complex
+    division, or a product with ``1 / mag``, would overflow where ``mag`` is
+    subnormal.
+    """
+    nonzero = mag != 0
+    np.divide(values.real, mag, out=out.real, where=nonzero)
+    np.divide(values.imag, mag, out=out.imag, where=nonzero)
+    return out
+
+
 def _phasor(z: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``values / |values|``; an exact zero carries no phase and keeps ``z``."""
-    mag = np.abs(values)
-    return np.divide(values, mag, out=z.copy(), where=mag != 0)
+    """``values / |values|``; an exact zero carries no phase and keeps ``z``.
+
+    The result is finite and of unit modulus also where ``|values|`` is
+    subnormal (down to 5e-324).
+    """
+    return _unit(values, np.abs(values), z.copy())
 
 
-def _run(method, mag, phase, update, cfg: ReconConfig, stft_cfg, length, ref_phase, candidates):
+def _initial_mixture_phasor(cfg: ReconConfig, noisy: Spectrogram):
+    """Initial phase of nm/np and, for init 'noisy', its phasor.
+
+    That phasor is ``mixture / |mixture|`` (1 at exact zeros), normalized
+    without ``exp``; other inits leave it to ``_run``.
+    """
+    mag_mix, phase_mix = decompose(noisy)
+    phase = _initial_phase(cfg, mag_mix.shape, phase_mix)
+    if cfg.init != "noisy":
+        return phase, None
+    return phase, _unit(noisy.values, mag_mix, np.ones(mag_mix.shape, dtype=np.complex128))
+
+
+def _run(
+    method, mag, phase, update, cfg: ReconConfig, stft_cfg, length, ref_phase, candidates, z0=None
+):
     """The loop shared by every method, on a unit phasor iterate ``z``.
 
     Each iteration projects the speech estimate ``mag * z`` onto consistent
     spectrograms and hands the projection to ``update(z, projected)``, which
     returns the next phasor. Angles are formed only for the report. A bin
-    whose phasor never moved reports ``phase`` exactly as given.
+    whose phasor never moved reports ``phase`` exactly as given. ``z0``, the
+    initial phasor, defaults to ``exp(1j * phase)``.
     """
-    z0 = np.exp(1j * phase)
+    z0 = np.exp(1j * phase) if z0 is None else z0
 
     def angles(z):
         return phase if z is z0 else np.where(z == z0, phase, wrap_phase(np.angle(z)))
@@ -229,15 +261,14 @@ def nm_msgla(
     mag_speech = _estimate("mag_speech", mag_speech, noisy.values.shape)
     mag_noise = _estimate("mag_noise", mag_noise, noisy.values.shape)
     mixture, stft_cfg, length = noisy.values, noisy.config, noisy.origin_length
-    _, phase_mix = decompose(noisy)
+    phase, z0 = _initial_mixture_phasor(cfg, noisy)
 
     def update(z, projected):
         speech = _phasor(z, projected)
         noise = _phasor(z, project_values(mixture - mag_speech * speech, stft_cfg, length))
         return _phasor(z, mixture - mag_noise * noise)
 
-    phase = _initial_phase(cfg, mixture.shape, phase_mix)
-    return _run("nm", mag_speech, phase, update, cfg, stft_cfg, length, ref_phase, candidates)
+    return _run("nm", mag_speech, phase, update, cfg, stft_cfg, length, ref_phase, candidates, z0)
 
 
 def np_msgla(
@@ -262,7 +293,7 @@ def np_msgla(
     mag_speech = _estimate("mag_speech", mag_speech, noisy.values.shape)
     phase_noise = _estimate("phase_noise", phase_noise, noisy.values.shape, nonnegative=False)
     mixture, stft_cfg, length = noisy.values, noisy.config, noisy.origin_length
-    _, phase_mix = decompose(noisy)
+    phase, z0 = _initial_mixture_phasor(cfg, noisy)
     noise = np.exp(1j * phase_noise)
 
     def update(z, projected):
@@ -270,8 +301,7 @@ def np_msgla(
         implied_mag_noise = np.abs(project_values(mixture - mag_speech * speech, stft_cfg, length))
         return _phasor(z, mixture - implied_mag_noise * noise)
 
-    phase = _initial_phase(cfg, mixture.shape, phase_mix)
-    return _run("np", mag_speech, phase, update, cfg, stft_cfg, length, ref_phase, candidates)
+    return _run("np", mag_speech, phase, update, cfg, stft_cfg, length, ref_phase, candidates, z0)
 
 
 def _require(value, method: str, name: str):

@@ -43,17 +43,31 @@ COLA_FLOOR = 1e-12
 WINDOW_KINDS = ("hann", "rectangular")
 
 # Distinct (config, frame count, origin length) triples whose overlap-added
-# window power is kept; one entry is a float per output sample.
+# window power is kept; one entry is a float per output sample. The fold
+# indices of centered synthesis are kept for as many signal geometries.
 DENOMINATOR_CACHE_SIZE = 64
+
+_TWO_PI = 2.0 * np.pi
 
 
 def wrap_phase(angles) -> np.ndarray:
-    """Map angles into the principal interval [-pi, pi)."""
-    a = np.asarray(angles, dtype=np.float64)
-    shifted = np.mod(a + np.pi, 2.0 * np.pi)
-    # Just below -pi, a + pi is a tiny negative number that np.mod rounds up
-    # to exactly 2*pi, which would wrap to +pi.
-    return np.where(shifted == 2.0 * np.pi, 0.0, shifted) - np.pi
+    """Map angles into the principal interval [-pi, pi).
+
+    The result is ``np.mod(angles + pi, 2*pi) - pi`` bit for bit, except that
+    a tiny negative ``angles + pi``, which ``np.mod`` rounds up to exactly
+    2*pi, maps to -pi rather than +pi.
+    """
+    shifted = np.asarray(angles, dtype=np.float64) + np.pi
+    if shifted.size and shifted.min() >= -_TWO_PI and shifted.max() < 2.0 * _TWO_PI:
+        # np.mod by one turn, piecewise: each add or subtract of 2*pi rounds
+        # exactly as np.mod does, and the subtraction also catches a negative
+        # value that the addition rounded up to 2*pi.
+        shifted += _TWO_PI * (shifted < 0.0)
+        shifted -= _TWO_PI * (shifted >= _TWO_PI)
+    else:
+        shifted = np.mod(shifted, _TWO_PI)
+        shifted = np.where(shifted == _TWO_PI, 0.0, shifted)
+    return shifted - np.pi
 
 
 def angular_distance(a, b) -> np.ndarray:
@@ -235,6 +249,20 @@ def _overlap_add(segments: np.ndarray, hop: int) -> np.ndarray:
     return acc.reshape(-1)[: (frames - 1) * hop + w]
 
 
+@lru_cache(maxsize=DENOMINATOR_CACHE_SIZE)
+def _fold_indices(pad: int, length: int, total: int) -> tuple[np.ndarray, ...]:
+    """Source samples and the buffer positions whose reflections land on them, read-only."""
+    t_left = np.arange(1, min(pad, length - 1) + 1)
+    q = np.arange(pad)
+    t_right = length - 2 - q
+    p_right = pad + length + q
+    keep = (t_right >= 0) & (p_right < total)
+    indices = (t_left, pad - t_left, t_right[keep], p_right[keep])
+    for index in indices:
+        index.setflags(write=False)
+    return indices
+
+
 def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
     """Map an overlap-added buffer onto the ``length`` source samples."""
     pad = cfg.window_length // 2 if cfg.center else 0
@@ -246,13 +274,9 @@ def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
         # Fold the windowed energy that landed on reflected padding back onto
         # the source samples; with this, synthesis is the exact least-squares
         # inverse of the centered analysis operator.
-        t_left = np.arange(1, min(pad, length - 1) + 1)
-        out[t_left] += buffer[pad - t_left]
-        q = np.arange(pad)
-        t_right = length - 2 - q
-        p_right = pad + length + q
-        keep = (t_right >= 0) & (p_right < total)
-        out[t_right[keep]] += buffer[p_right[keep]]
+        t_left, p_left, t_right, p_right = _fold_indices(pad, length, total)
+        out[t_left] += buffer[p_left]
+        out[t_right] += buffer[p_right]
     return out[:covered]
 
 
@@ -284,9 +308,12 @@ def _synthesize(values: np.ndarray, cfg: StftConfig, origin_length: int) -> np.n
     length = int(origin_length)
     core = _denominator(cfg, values.shape[0], length)
     w = cfg.window_length
-    segments = np.fft.irfft(values, n=cfg.fft_length, axis=1)[:, :w] * cfg.window()
+    segments = np.fft.irfft(values, n=cfg.fft_length, axis=1)[:, :w]
+    segments *= cfg.window()
+    folded = _fold(_overlap_add(segments, cfg.hop_length), cfg, length)
+    folded /= core
     out = np.zeros(length)
-    out[: core.shape[0]] = _fold(_overlap_add(segments, cfg.hop_length), cfg, length) / core
+    out[: core.shape[0]] = folded
     return out
 
 

@@ -438,3 +438,29 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "msgla" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enhance", "noisy.wav", "--out", "out.wav"],
+        ["oracle-exp", "--out-dir", "results"],
+        ["candidates", "noisy.wav", "clean.wav", "noise.wav", "--out", "cand.csv"],
+        ["analyze", "--clean", "clean.wav", "--noise", "noise.wav", "--out-dir", "maps"],
+    ],
+)
+def test_no_center_flag_is_a_usage_error(argv, capsys):
+    # Uncentered periodic Hann has w[0] = 0, so no uncentered run could succeed.
+    assert main([*argv, "--no-center"]) == 2
+    assert "--no-center" in capsys.readouterr().err
+
+
+def test_no_center_config_key_is_rejected(mixture_files, tmp_path, capsys):
+    _, paths, _ = mixture_files
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"no_center": False}))
+    out = tmp_path / "out.wav"
+    code = main(["enhance", str(paths["noisy"]), "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert "no_center" in capsys.readouterr().err
+    assert not out.exists()

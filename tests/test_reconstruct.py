@@ -392,3 +392,71 @@ def test_loops_stay_finite_on_unit_phasors(method, kind, init, frames, seed):
         assert np.all(np.isfinite(phase))
         assert np.all(phase >= -np.pi) and np.all(phase < np.pi)
     assert all(np.isfinite(entry.inconsistency) for entry in report.per_iteration)
+
+
+def test_phasor_stays_unit_on_subnormal_values():
+    turns = np.exp(1j * np.random.default_rng(22).uniform(-np.pi, np.pi, 64))
+    axes = np.array([1.0, -1.0, 1j, -1j])
+    values = np.stack(
+        [
+            np.concatenate([1e-310 * turns, 1e-310 * axes]),
+            np.concatenate([5e-324 * np.resize(axes, 64), 5e-324 * axes]),
+        ]
+    )
+    assert set(np.unique(np.abs(values[1]))) == {5e-324}
+    z = reconstruct._phasor(np.ones(values.shape, dtype=np.complex128), values)
+    assert np.all(np.isfinite(z))
+    assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["gla", "nm", "np"])
+def test_loops_stay_finite_on_subnormal_magnitudes(method):
+    tri, noisy, mag_speech, _, mag_noise, phase_noise = _mixture(seed=23)
+    mag_speech, mag_noise = 1e-310 * mag_speech, 1e-310 * mag_noise
+    cfg = ReconConfig(iterations=3)
+    _, phase_mix = decompose(noisy)
+    if method == "gla":
+        report = gla(mag_speech, cfg, CFG, origin_length=noisy.origin_length, noisy_phase=phase_mix)
+    elif method == "nm":
+        report = nm_msgla(noisy, mag_speech, mag_noise, cfg)
+    else:
+        report = np_msgla(noisy, mag_speech, phase_noise, cfg)
+    for phase in report.phases:
+        assert np.all(np.isfinite(phase))
+        assert np.all(phase >= -np.pi) and np.all(phase < np.pi)
+
+
+def _holed_mixture(seed):
+    """A mixture spectrogram with a row, a column and scattered bins exactly zero."""
+    tri, noisy, mag_speech, _, mag_noise, phase_noise = _mixture(seed=seed)
+    values = noisy.values.copy()
+    values[4] = 0.0
+    values[:, 17] = 0.0
+    values[np.random.default_rng(seed).random(values.shape) < 0.05] = 0.0
+    holed = Spectrogram(values, CFG, noisy.origin_length, noisy.sample_rate)
+    return holed, mag_speech, mag_noise, phase_noise
+
+
+@pytest.mark.parametrize("method", ["nm", "np"])
+def test_zero_iterations_report_the_mixture_phase_bit_for_bit(method):
+    holed, mag_speech, mag_noise, phase_noise = _holed_mixture(seed=24)
+    _, phase_mix = decompose(holed)
+    for trace in (False, True):
+        cfg = ReconConfig(iterations=0, trace=trace)
+        if method == "nm":
+            report = nm_msgla(holed, mag_speech, mag_noise, cfg)
+        else:
+            report = np_msgla(holed, mag_speech, phase_noise, cfg)
+        assert np.array_equal(report.final_phase.view(np.int64), phase_mix.view(np.int64))
+
+
+def test_initial_mixture_phasor_is_one_at_exact_zeros():
+    holed, *_ = _holed_mixture(seed=25)
+    _, phase_mix = decompose(holed)
+    zero = holed.values == 0
+    phase, z0 = reconstruct._initial_mixture_phasor(ReconConfig(), holed)
+    assert np.array_equal(phase, phase_mix)
+    assert np.all(z0[zero] == 1.0)
+    assert np.max(np.abs(z0[~zero] - np.exp(1j * phase_mix[~zero]))) <= 1e-15
+    for init in ("zero", "random"):
+        assert reconstruct._initial_mixture_phasor(ReconConfig(init=init), holed)[1] is None

@@ -16,6 +16,7 @@ from msgla.spectral import (
     recompose,
     _analyze,
     _denominator,
+    _fold_indices,
     _synthesize,
     frame_count,
     stft,
@@ -428,3 +429,43 @@ def test_projection_is_self_adjoint_under_bin_weights(case):
     right = inner(a, project_values(b, cfg, length))
     scale = np.sqrt(inner(a, a) * inner(b, b))
     assert abs(left - right) <= 1e-12 * scale
+
+
+def _wrap_phase_reference(angles):
+    """The np.mod formula, with its one fix: just below -pi maps to -pi."""
+    shifted = np.mod(np.asarray(angles, dtype=np.float64) + np.pi, 2.0 * np.pi)
+    return np.where(shifted == 2.0 * np.pi, 0.0, shifted) - np.pi
+
+
+_WRAP_EDGES = [
+    float(np.nextafter(k * np.pi, direction))
+    for k in (0, -1, 1, -2, 2, -3, 3, -5, 5)
+    for direction in (-np.inf, np.inf)
+] + [k * np.pi for k in (-5, -3, -2, -1, 0, 1, 2, 3, 5)] + [-0.0]
+_WRAP_ANGLES = st.one_of(
+    st.floats(-3 * np.pi, 3 * np.pi),
+    st.floats(-1e3, 1e3),
+    st.sampled_from(_WRAP_EDGES),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_WRAP_ANGLES, st.lists(_WRAP_ANGLES, min_size=1, max_size=12)))
+@example(_WRAP_EDGES)
+def test_wrap_phase_matches_np_mod_formula_bit_for_bit(angles):
+    # Lists mix angles inside and outside the range where wrap_phase skips np.mod.
+    got = np.asarray(wrap_phase(angles), dtype=np.float64)
+    want = np.asarray(_wrap_phase_reference(angles), dtype=np.float64)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_cached_fold_indices_are_read_only():
+    cfg = StftConfig()
+    pad, length = cfg.window_length // 2, 2048
+    total = (frame_count(length, cfg) - 1) * cfg.hop_length + cfg.window_length
+    indices = _fold_indices(pad, length, total)
+    assert indices is _fold_indices(pad, length, total)
+    assert all(index.size for index in indices)
+    for index in indices:
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
