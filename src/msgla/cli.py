@@ -28,6 +28,7 @@ from .geometry import (
     sine_phase_candidates,
 )
 from .harness import (
+    METHOD_NEEDS,
     ExperimentSpec,
     MixtureSpec,
     default_provider_pairs,
@@ -35,7 +36,7 @@ from .harness import (
     perturb_phase,
     run_experiment,
 )
-from .metrics import inconsistency, phase_cos_sim, phase_error_map, plain_snr, si_snr
+from .metrics import phase_cos_sim, phase_error_map, plain_snr, si_snr
 from .reconstruct import METHODS, Estimates, ReconConfig, enhance
 from .spectral import StftConfig, Waveform, decompose, stft, wrap_phase
 
@@ -156,17 +157,10 @@ def cmd_enhance(cfg: dict) -> int:
     noisy_spec = stft(noisy, stft_cfg)
     mag_mix, phase_mix = decompose(noisy_spec)
 
-    needs = {
-        "passthrough": (),
-        "gla": ("clean",),
-        "nm": ("clean", "noise"),
-        "np": ("clean", "noise"),
-        "sign": ("clean", "noise"),
-    }[method]
-    if "clean" in needs and cfg["oracle_clean"] is None:
-        raise UsageError(f"method '{method}' requires --oracle-clean (clean reference WAV)")
-    if "noise" in needs and cfg["oracle_noise"] is None:
-        raise UsageError(f"method '{method}' requires --oracle-noise (noise reference WAV)")
+    for quantity in METHOD_NEEDS[method]:
+        source = "clean" if quantity == "mag_speech" else "noise"
+        if cfg[f"oracle_{source}"] is None:
+            raise UsageError(f"method '{method}' requires --oracle-{source} ({source} reference WAV)")
 
     clean = noise = None
     phase_speech = None
@@ -205,17 +199,12 @@ def cmd_enhance(cfg: dict) -> int:
     write_wav(wave, out_path, cfg["encoding"])
 
     resolved = {k: v for k, v in cfg.items()}
-    mag_used = estimates.mag_speech if estimates.mag_speech is not None else mag_mix
     summary: dict = {
         "version": __version__,
         "config": resolved,
         "method": method,
         "output": str(out_path),
-        "metrics": {
-            "inconsistency": inconsistency(
-                mag_used, report.final_phase, stft_cfg, noisy_spec.origin_length
-            )
-        },
+        "metrics": {"inconsistency": report.final_inconsistency},
         "per_iteration": [
             {
                 "iteration": s.iteration,

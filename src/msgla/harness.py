@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import cosine_phase_candidates, oracle_sign
-from .metrics import phase_cos_sim, si_snr, metric_row
+from .metrics import phase_cos_sim, plain_snr, si_snr
 from .reconstruct import Estimates, ReconConfig, enhance
 from .spectral import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, Waveform, decompose, stft, wrap_phase
 
@@ -384,7 +384,6 @@ def _run_cell(
     recon_cfg: ReconConfig,
     fingerprint: str,
 ) -> dict:
-    stft_cfg = ctx.noisy_spec.config
     estimates = Estimates()
     if pair is None:
         speech_label = noise_label = "-"
@@ -402,16 +401,6 @@ def _run_cell(
         estimates.sign = oracle_sign(cand, spectra["phase_speech"])
 
     enhanced, report = enhance(ctx.noisy_spec, method, estimates, recon_cfg)
-    mag_used = estimates.mag_speech if estimates.mag_speech is not None else spectra["mag_mix"]
-    row_metrics = metric_row(
-        enhanced,
-        ctx.triple.clean,
-        report.final_phase,
-        spectra["phase_speech"],
-        mag_used,
-        stft_cfg,
-        ctx.noisy_spec.origin_length,
-    )
     return {
         "row_kind": "cell",
         "method": method,
@@ -420,10 +409,10 @@ def _run_cell(
         "mixture_kind": ctx.spec.kind,
         "mixture_seed": ctx.spec.seed,
         "snr_db": ctx.spec.snr_db,
-        "si_snr_db": row_metrics.si_snr_db,
-        "snr_db_plain": row_metrics.snr_db_plain,
-        "phase_cos_sim": row_metrics.phase_cos_sim,
-        "inconsistency": row_metrics.inconsistency,
+        "si_snr_db": si_snr(enhanced, ctx.triple.clean),
+        "snr_db_plain": plain_snr(enhanced, ctx.triple.clean),
+        "phase_cos_sim": phase_cos_sim(report.final_phase, spectra["phase_speech"]),
+        "inconsistency": report.final_inconsistency,
         "si_snr_noisy_db": ctx.si_snr_noisy,
         "phase_cos_sim_noisy": ctx.cos_sim_noisy,
         "fingerprint": fingerprint,

@@ -14,6 +14,7 @@ iteration count (default 5) is used rather than a convergence test.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,11 +25,11 @@ from .spectral import (
     Spectrogram,
     StftConfig,
     Waveform,
+    _analyze,
+    _synthesize,
     canonical_length,
     decompose,
-    istft,
     project_values,
-    recompose,
     wrap_phase,
 )
 
@@ -46,6 +47,10 @@ __all__ = [
 
 INIT_KINDS = ("noisy", "zero", "random")
 METHODS = ("passthrough", "gla", "nm", "np", "sign")
+
+# While ``enhance`` runs a loop, the loop's last pass appends its synthesized
+# signal here; the public loops return only the report.
+_SIGNALS: ContextVar[list | None] = ContextVar("_SIGNALS", default=None)
 
 
 @dataclass(frozen=True)
@@ -81,9 +86,14 @@ class IterationStats:
 
 @dataclass
 class ReconReport:
-    """Outcome of a reconstruction run, with optional per-iteration trace."""
+    """Outcome of a reconstruction run, with optional per-iteration trace.
+
+    ``final_inconsistency`` measures the final iterate, traced or not; with
+    trace on it equals ``per_iteration[-1].inconsistency``.
+    """
 
     final_phase: np.ndarray
+    final_inconsistency: float
     per_iteration: list[IterationStats] = field(default_factory=list)
     phases: list[np.ndarray] | None = None
     method: str = ""
@@ -185,8 +195,10 @@ def _run(
 
     Each iteration projects the speech estimate ``mag * z`` onto consistent
     spectrograms and hands the projection to ``update(z, projected)``, which
-    returns the next phasor. Angles are formed only for the report. A bin
-    whose phasor never moved reports ``phase`` exactly as given. ``z0``, the
+    returns the next phasor. One last pass projects the final iterate through
+    its synthesized signal, which measures the final inconsistency and is
+    handed to ``enhance``. Angles are formed only for the report. A bin whose
+    phasor never moved reports ``phase`` exactly as given. ``z0``, the
     initial phasor, defaults to ``exp(1j * phase)``.
     """
     z0 = np.exp(1j * phase) if z0 is None else z0
@@ -197,18 +209,24 @@ def _run(
     z = z0
     stats: list[IterationStats] = []
     phases: list[np.ndarray] | None = [phase] if cfg.trace else None
-    # With trace on, one more projection measures the final iterate.
-    for n in range(cfg.iterations + cfg.trace):
+    for n in range(cfg.iterations + 1):
         speech = mag * z
-        projected = project_values(speech, stft_cfg, length)
+        if n < cfg.iterations:
+            projected = project_values(speech, stft_cfg, length)
+        else:
+            signal = _synthesize(speech, stft_cfg, length)
+            projected = _analyze(signal, stft_cfg)
         if cfg.trace:
             stats.append(_stats(n, speech, projected, phases[-1], stft_cfg, ref_phase, candidates))
         if n < cfg.iterations:
             z = update(z, projected)
             if cfg.trace:
                 phases.append(angles(z))
-    final_phase = phases[-1] if cfg.trace else angles(z)
-    return ReconReport(final_phase=final_phase, per_iteration=stats, phases=phases, method=method)
+    signals = _SIGNALS.get()
+    if signals is not None:
+        signals.append(signal)
+    final = stats[-1].inconsistency if cfg.trace else weighted_frobenius(speech - projected, stft_cfg)
+    return ReconReport(phases[-1] if cfg.trace else angles(z), final, stats, phases, method)
 
 
 def gla(
@@ -321,10 +339,11 @@ def enhance(
 ) -> tuple[Waveform, ReconReport]:
     """Reconstruct a speech phase with ``method`` and synthesize the estimate.
 
-    The output waveform is the inversion of the (estimated) speech magnitude
-    combined with the reconstructed phase, trimmed to the mixture's original
-    length. ``passthrough`` keeps the mixture phase; ``sign`` applies a
-    supplied sign field to the law-of-cosines candidates in one shot.
+    The output waveform is the synthesis of the final iterate, the
+    (estimated) speech magnitude times the reconstructed phasor, trimmed to
+    the mixture's original length; the loop's last pass builds it once.
+    ``passthrough`` keeps the mixture phase; ``sign`` applies a supplied sign
+    field to the law-of-cosines candidates in one shot.
 
     Every estimate the method uses is checked before any work starts: it must
     have the mixture's shape and be finite, and magnitudes must be
@@ -348,31 +367,33 @@ def enhance(
         return _run(method, mag, phase, None, no_loop, noisy.config, length, ref_phase, candidates)
 
     mag = mag_mix if method == "passthrough" and est.mag_speech is None else needed("mag_speech")
-    if method == "passthrough":
-        report = one_shot(mag, phase_mix)
-    elif method == "gla":
-        report = gla(
-            mag,
-            cfg,
-            noisy.config,
-            origin_length=noisy.origin_length,
-            noisy_phase=phase_mix,
-            ref_phase=ref_phase,
-            candidates=candidates,
-        )
-    elif method == "nm":
-        mag_noise = needed("mag_noise")
-        report = nm_msgla(noisy, mag, mag_noise, cfg, ref_phase=ref_phase, candidates=candidates)
-    elif method == "np":
-        phase_noise = needed("phase_noise", nonnegative=False)
-        report = np_msgla(noisy, mag, phase_noise, cfg, ref_phase=ref_phase, candidates=candidates)
-    else:  # sign
-        mag_noise = needed("mag_noise")
-        sign = _require(est.sign, method, "sign")
-        cand = cosine_phase_candidates(mag_mix, phase_mix, mag, mag_noise)
-        report = one_shot(mag, apply_sign_field(phase_mix, cand.abs_delta, sign))
-
-    estimate = Spectrogram(
-        recompose(mag, report.final_phase), noisy.config, noisy.origin_length, noisy.sample_rate
-    )
-    return istft(estimate), report
+    signals: list[np.ndarray] = []
+    token = _SIGNALS.set(signals)
+    try:
+        if method == "passthrough":
+            report = one_shot(mag, phase_mix)
+        elif method == "gla":
+            report = gla(
+                mag,
+                cfg,
+                noisy.config,
+                origin_length=noisy.origin_length,
+                noisy_phase=phase_mix,
+                ref_phase=ref_phase,
+                candidates=candidates,
+            )
+        elif method == "nm":
+            mag_noise = needed("mag_noise")
+            report = nm_msgla(noisy, mag, mag_noise, cfg, ref_phase=ref_phase, candidates=candidates)
+        elif method == "np":
+            phase_noise = needed("phase_noise", nonnegative=False)
+            report = np_msgla(noisy, mag, phase_noise, cfg, ref_phase=ref_phase, candidates=candidates)
+        else:  # sign
+            mag_noise = needed("mag_noise")
+            sign = _require(est.sign, method, "sign")
+            cand = cosine_phase_candidates(mag_mix, phase_mix, mag, mag_noise)
+            report = one_shot(mag, apply_sign_field(phase_mix, cand.abs_delta, sign))
+    finally:
+        _SIGNALS.reset(token)
+    (signal,) = signals
+    return Waveform(signal, noisy.sample_rate), report

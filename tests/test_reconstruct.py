@@ -1,3 +1,5 @@
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msgla import reconstruct
+from msgla import metrics, reconstruct, spectral
 from msgla.geometry import (
     cosine_phase_candidates,
     nearest_candidate_distance,
@@ -13,15 +15,17 @@ from msgla.geometry import (
     sine_phase_candidates,
 )
 from msgla.harness import synthesize_mixture
-from msgla.metrics import bin_weights, phase_cos_sim, si_snr
-from msgla.reconstruct import Estimates, ReconConfig, enhance, gla, nm_msgla, np_msgla
+from msgla.metrics import bin_weights, inconsistency, phase_cos_sim, si_snr, weighted_frobenius
+from msgla.reconstruct import METHODS, Estimates, ReconConfig, enhance, gla, nm_msgla, np_msgla
 from msgla.spectral import (
     Spectrogram,
     StftConfig,
     Waveform,
+    angular_distance,
     consistency_project,
     decompose,
     istft,
+    recompose,
     stft,
 )
 
@@ -460,3 +464,118 @@ def test_initial_mixture_phasor_is_one_at_exact_zeros():
     assert np.max(np.abs(z0[~zero] - np.exp(1j * phase_mix[~zero]))) <= 1e-15
     for init in ("zero", "random"):
         assert reconstruct._initial_mixture_phasor(ReconConfig(init=init), holed)[1] is None
+
+
+def _last_pass_case(method):
+    """A mixture, oracle estimates for ``method`` and the magnitude it synthesizes."""
+    tri, noisy, mag_speech, phase_speech, mag_noise, phase_noise = _mixture(seed=31, snr_db=3.0)
+    if method == "passthrough":
+        return noisy, Estimates(), decompose(noisy)[0]
+    est = Estimates(mag_speech=mag_speech, mag_noise=mag_noise, phase_noise=phase_noise)
+    if method == "sign":
+        mag_mix, phase_mix = decompose(noisy)
+        cand = cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise)
+        est.sign = oracle_sign(cand, phase_speech)
+    return noisy, est, mag_speech
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("method", METHODS)
+def test_last_pass_yields_the_waveform_and_the_final_inconsistency(method, trace):
+    noisy, est, mag = _last_pass_case(method)
+    wave, report = enhance(noisy, method, est, ReconConfig(iterations=4, trace=trace))
+    if trace:
+        assert report.final_inconsistency == report.per_iteration[-1].inconsistency
+    else:
+        assert report.per_iteration == []
+    # Where the iterate is consistent (passthrough) the inconsistency is
+    # rounding noise, so the absolute part of the bound scales with the norm.
+    measured = inconsistency(mag, report.final_phase, CFG, noisy.origin_length)
+    scale = 1e-12 * weighted_frobenius(mag, CFG)
+    assert report.final_inconsistency == pytest.approx(measured, rel=1e-12, abs=scale)
+    rebuilt = Spectrogram(recompose(mag, report.final_phase), CFG, noisy.origin_length, noisy.sample_rate)
+    expected = istft(rebuilt)
+    assert wave.sample_rate == expected.sample_rate
+    if method in ("passthrough", "sign"):
+        assert np.array_equal(wave.samples.view(np.int64), expected.samples.view(np.int64))
+    else:
+        gap = np.linalg.norm(wave.samples - expected.samples)
+        assert gap <= 1e-12 * np.linalg.norm(expected.samples)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_enhance_synthesizes_once_per_projection_plus_the_last_pass(monkeypatch, method):
+    noisy, est, _ = _last_pass_case(method)
+    calls = []
+    synthesize = spectral._synthesize
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return synthesize(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("recompose and istft are not on the enhance path")
+
+    monkeypatch.setattr(spectral, "_synthesize", counting)
+    monkeypatch.setattr(reconstruct, "_synthesize", counting)
+    for module in (spectral, metrics, reconstruct):
+        for name in ("recompose", "istft"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    iterations = 3
+    expected = {"gla": iterations + 1, "nm": 2 * iterations + 1, "np": 2 * iterations + 1}.get(method, 1)
+    for trace in (False, True):
+        calls.clear()
+        enhance(noisy, method, est, ReconConfig(iterations=iterations, trace=trace))
+        assert len(calls) == expected
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    kind=st.sampled_from(["harmonic", "speech_shaped"]),
+    snr_db=st.sampled_from([-6.0, 0.0, 6.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_true_speech_phase_is_a_fixed_point_of_nm_and_np(kind, snr_db, seed):
+    tri = synthesize_mixture(kind, snr_db, 0.25, 16000, seed)
+    noisy = stft(tri.noisy, CFG)
+    mag_speech, phase_speech = decompose(stft(tri.clean, CFG))
+    mag_noise, phase_noise = decompose(stft(tri.noise, CFG))
+    strong = mag_speech >= 1e-2 * mag_speech.max()
+    cfg = ReconConfig(iterations=20, trace=False)
+    with pytest.MonkeyPatch.context() as patch:
+        # Start both loops at the true speech phase instead of the mixture's.
+        patch.setattr(reconstruct, "_initial_mixture_phasor", lambda cfg, noisy: (phase_speech, None))
+        for report in (
+            nm_msgla(noisy, mag_speech, mag_noise, cfg),
+            np_msgla(noisy, mag_speech, phase_noise, cfg),
+        ):
+            assert np.max(angular_distance(report.final_phase, phase_speech)[strong]) <= 1e-8
+
+
+def test_enhance_waveforms_stay_with_their_threads():
+    # enhance collects the last pass's signal per thread; more threads than
+    # cores, with a short switch interval, must not swap signals between calls.
+    methods = ["gla", "nm", "np", "sign"] * 2
+    cases = [_last_pass_case(method) for method in methods]
+    cfg = ReconConfig(iterations=3, trace=False)
+    expected = [enhance(noisy, m, est, cfg)[0].samples for m, (noisy, est, _) in zip(methods, cases)]
+    swapped = []
+
+    def work(i):
+        noisy, est, _ = cases[i]
+        for _ in range(20):
+            if not np.array_equal(enhance(noisy, methods[i], est, cfg)[0].samples, expected[i]):
+                swapped.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert swapped == []
