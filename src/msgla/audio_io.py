@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,48 +25,87 @@ __all__ = [
 
 PCM16_SCALE = 32768.0
 ENCODINGS = ("float32", "pcm16")
+WAVE_FORMAT_PCM = 0x0001
+WAVE_FORMAT_IEEE_FLOAT = 0x0003
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
 
 def read_wav(path) -> Waveform:
-    """Read a mono PCM16 or float32 WAV file.
+    """Read a mono PCM16 or IEEE float32 RIFF/WAVE file.
 
     PCM16 samples are normalized by 32768, so full-scale negative maps to
-    exactly -1.0.
+    exactly -1.0. Chunks other than ``fmt `` and ``data`` are skipped, and a
+    ``WAVE_FORMAT_EXTENSIBLE`` header takes its encoding from its sub-format.
     """
-    from scipy.io import wavfile  # deferred: importing scipy.io costs ~0.2 s
-
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such WAV file: {path}")
-    sample_rate, data = wavfile.read(path)
-    if data.ndim != 1:
-        raise ValueError(f"{path}: only mono WAV is supported, got {data.ndim} channels")
-    if data.dtype == np.int16:
-        samples = data / PCM16_SCALE
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
+    raw = path.read_bytes()
+    if raw[:4] == b"RF64":
+        raise ValueError(f"{path}: RF64 WAV is not supported")
+    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError(f"{path}: not a RIFF/WAVE file")
+    chunks = {}
+    pos = 12
+    while pos + 8 <= len(raw) and b"data" not in chunks:
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        chunks.setdefault(chunk_id, (pos + 8, size))
+        pos += 8 + size + (size & 1)
+    for chunk_id in (b"fmt ", b"data"):
+        if chunk_id not in chunks:
+            raise ValueError(f"{path}: missing {chunk_id.decode().strip()} chunk")
+    start, size = chunks[b"fmt "]
+    if size < 16 or start + size > len(raw):
+        raise ValueError(f"{path}: fmt chunk is truncated")
+    tag, channels, sample_rate, _, block_align, bits = struct.unpack_from("<HHIIHH", raw, start)
+    if tag == WAVE_FORMAT_EXTENSIBLE and size >= 40:
+        tag = struct.unpack_from("<H", raw, start + 24)[0]
+    if channels != 1:
+        raise ValueError(f"{path}: only mono WAV is supported, got {channels} channels")
+    # The block align (sample container) sets the sample type; the declared
+    # depth only tells 8-bit PCM and non-IEEE float depths apart, so a 12-bit
+    # PCM header with 2-byte blocks reads as PCM16.
+    if tag == WAVE_FORMAT_PCM and block_align == 2 and bits > 8:
+        dtype = "<i2"
+    elif tag == WAVE_FORMAT_IEEE_FLOAT and block_align == 4 and bits in (32, 64):
+        dtype = "<f4"
     else:
-        raise ValueError(f"{path}: unsupported encoding {data.dtype}; expected PCM16 or float32")
-    return Waveform(samples, int(sample_rate))
+        kind = {WAVE_FORMAT_PCM: "PCM", WAVE_FORMAT_IEEE_FLOAT: "float"}.get(tag, f"format {tag:#06x}")
+        raise ValueError(f"{path}: unsupported encoding {bits}-bit {kind}; expected PCM16 or float32")
+    start, size = chunks[b"data"]
+    if start + size > len(raw):
+        raise ValueError(f"{path}: data chunk declares {size} bytes but holds {len(raw) - start}")
+    if size % block_align:
+        raise ValueError(f"{path}: data chunk of {size} bytes is not a whole number of {block_align}-byte samples")
+    data = np.frombuffer(raw, dtype=dtype, count=size // block_align, offset=start)
+    samples = data / PCM16_SCALE if tag == WAVE_FORMAT_PCM else data.astype(np.float64)
+    return Waveform(samples, sample_rate)
 
 
 def write_wav(wave: Waveform, path, encoding: str = "float32") -> None:
-    """Write a mono WAV file.
+    """Write a mono WAV file: RIFF/WAVE with a ``fmt `` and a ``data`` chunk.
 
     PCM16 clamps samples to [-1, 1], scales by 32768, and rounds half away
-    from zero (clipping the top code to 32767); float32 writes values as-is.
+    from zero (clipping the top code to 32767); float32 writes values as-is
+    and adds a ``fact`` chunk, as non-PCM WAV requires.
     """
-    from scipy.io import wavfile  # deferred: importing scipy.io costs ~0.2 s
-
     if encoding not in ENCODINGS:
         raise ValueError(f"encoding must be one of {ENCODINGS}, got {encoding!r}")
-    path = Path(path)
     if encoding == "float32":
-        wavfile.write(path, wave.sample_rate, wave.samples.astype(np.float32))
-        return
-    scaled = np.clip(wave.samples, -1.0, 1.0) * PCM16_SCALE
-    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    wavfile.write(path, wave.sample_rate, np.clip(rounded, -32768, 32767).astype(np.int16))
+        data = wave.samples.astype("<f4")
+        tag, extra = WAVE_FORMAT_IEEE_FLOAT, b"\x00\x00"
+        fact = struct.pack("<4sII", b"fact", 4, data.size)
+    else:
+        scaled = np.clip(wave.samples, -1.0, 1.0) * PCM16_SCALE
+        rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+        data = np.clip(rounded, -32768, 32767).astype("<i2")
+        tag, extra, fact = WAVE_FORMAT_PCM, b"", b""
+    width = data.itemsize
+    rate = wave.sample_rate
+    fmt = struct.pack("<HHIIHH", tag, 1, rate, rate * width, width, 8 * width) + extra
+    chunks = struct.pack("<4sI", b"fmt ", len(fmt)) + fmt + fact + struct.pack("<4sI", b"data", data.nbytes)
+    riff = struct.pack("<4sI4s", b"RIFF", 4 + len(chunks) + data.nbytes, b"WAVE")
+    Path(path).write_bytes(riff + chunks + data.tobytes())
 
 
 def fingerprint(payload: dict) -> str:

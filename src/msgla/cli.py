@@ -31,6 +31,7 @@ from .harness import (
     METHOD_NEEDS,
     ExperimentSpec,
     MixtureSpec,
+    _scale_noise,
     default_provider_pairs,
     perturb_magnitude,
     perturb_phase,
@@ -361,16 +362,15 @@ def _write_grid(path: Path, grid: np.ndarray) -> None:
 def cmd_analyze(cfg: dict) -> int:
     stft_cfg = _stft_config(cfg)
     clean = read_wav(cfg["clean"])
+    if not clean.samples.any():
+        raise UsageError(f"--clean WAV {cfg['clean']} is silent; its energy split is undefined")
     noise = _read_aligned(cfg["noise"], clean, "--noise")
     noise_samples = noise.samples
     if cfg["snr_db"] is not None:
-        clean_norm = float(np.linalg.norm(clean.samples))
-        noise_norm = float(np.linalg.norm(noise_samples))
-        if noise_norm == 0.0:
-            raise UsageError("noise WAV is silent; cannot rescale to the requested SNR")
-        noise_samples = noise_samples * (
-            clean_norm / noise_norm * 10.0 ** (-float(cfg["snr_db"]) / 20.0)
-        )
+        try:
+            noise_samples = _scale_noise(clean.samples, noise_samples, float(cfg["snr_db"]))
+        except ValueError as exc:
+            raise UsageError(f"--noise WAV {cfg['noise']}: {exc}") from exc
 
     mag_speech, phase_speech = decompose(stft(clean, stft_cfg))
     _, phase_noise = decompose(stft(Waveform(noise_samples, clean.sample_rate), stft_cfg))

@@ -128,8 +128,8 @@ def sine_phase_candidates(
     With ``r = (mag_mix / mag_speech) * sin(phase_mix - phase_noise)``
     clamped to [-1, 1], the candidates are ``arcsin(r) + phase_noise`` and
     ``pi - arcsin(r) + phase_noise``, wrapped to [-pi, pi). Bins with speech
-    magnitude below ``floor`` pass the mixture phase through unchanged and
-    are marked invalid.
+    magnitude below ``floor`` get the wrapped mixture phase for both
+    candidates, as the cosine law gives them, and are marked invalid.
     """
     mag_mix = np.asarray(mag_mix, dtype=np.float64)
     phase_mix = np.asarray(phase_mix, dtype=np.float64)
@@ -143,10 +143,9 @@ def sine_phase_candidates(
     ratio = np.where(nondegenerate, mag_mix / np.where(nondegenerate, mag_speech, 1.0), 0.0)
     raw = ratio * np.sin(phase_mix - phase_noise)
     arc = np.arcsin(np.clip(raw, -1.0, 1.0))
-    primary = wrap_phase(arc + phase_noise)
-    reflected = wrap_phase(np.pi - arc + phase_noise)
-    primary = np.where(nondegenerate, primary, phase_mix)
-    reflected = np.where(nondegenerate, reflected, phase_mix)
+    held = wrap_phase(phase_mix)
+    primary = np.where(nondegenerate, wrap_phase(arc + phase_noise), held)
+    reflected = np.where(nondegenerate, wrap_phase(np.pi - arc + phase_noise), held)
     validity = nondegenerate & (np.abs(raw) <= 1.0)
     return SineCandidates(
         primary_candidate=primary,

@@ -1,9 +1,12 @@
 import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msgla.audio_io import (
     RunArtifact,
@@ -148,3 +151,210 @@ def test_importing_the_cli_does_not_load_scipy_io():
     code = "import sys, msgla.cli; print('scipy.io' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# --- parity with scipy.io.wavfile, the reference reader and writer --------
+
+_RATES = st.integers(1, 384000)
+
+
+def _scipy_write(path, rate, samples, encoding):
+    """What ``write_wav`` wrote when it called ``scipy.io.wavfile.write``."""
+    from scipy.io import wavfile
+
+    if encoding == "float32":
+        wavfile.write(path, rate, samples.astype(np.float32))
+        return
+    scaled = np.clip(samples, -1.0, 1.0) * 32768.0
+    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    wavfile.write(path, rate, np.clip(rounded, -32768, 32767).astype(np.int16))
+
+
+def _scipy_read(path):
+    """What ``read_wav`` returned when it called ``scipy.io.wavfile.read``."""
+    from scipy.io import wavfile
+
+    rate, data = wavfile.read(path)
+    return rate, (data / 32768.0 if data.dtype == np.int16 else data.astype(np.float64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    samples=st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False), max_size=300),
+    rate=_RATES,
+)
+def test_float32_round_trip_is_exact(tmp_path_factory, samples, rate):
+    path = tmp_path_factory.mktemp("f32") / "x.wav"
+    wave = Waveform(np.array(samples, dtype=np.float64), rate)
+    write_wav(wave, path, "float32")
+    back = read_wav(path)
+    assert back.sample_rate == rate
+    assert back.samples.dtype == np.float64
+    assert np.array_equal(back.samples, wave.samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(codes=st.lists(st.integers(-32768, 32767), max_size=300), rate=_RATES)
+def test_pcm16_round_trip_is_exact(tmp_path_factory, codes, rate):
+    path = tmp_path_factory.mktemp("pcm") / "x.wav"
+    wave = Waveform(np.array(codes, dtype=np.float64) / 32768.0, rate)
+    write_wav(wave, path, "pcm16")
+    back = read_wav(path)
+    assert back.sample_rate == rate
+    assert np.array_equal(back.samples, wave.samples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length=st.one_of(st.integers(0, 64), st.sampled_from([1000, 16001])),
+    rate=_RATES,
+    encoding=st.sampled_from(["float32", "pcm16"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_written_bytes_equal_scipy_and_read_back_alike(tmp_path_factory, length, rate, encoding, seed):
+    folder = tmp_path_factory.mktemp("parity")
+    samples = 0.7 * np.random.default_rng(seed).standard_normal(length)
+    ours, theirs = folder / "ours.wav", folder / "scipy.wav"
+    write_wav(Waveform(samples, rate), ours, encoding)
+    _scipy_write(theirs, rate, samples, encoding)
+    assert ours.read_bytes() == theirs.read_bytes()
+    back = read_wav(theirs)
+    want_rate, want = _scipy_read(theirs)
+    assert back.sample_rate == want_rate
+    assert np.array_equal(back.samples, want)
+
+
+# --- hand-built headers ---------------------------------------------------
+
+_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _chunk(chunk_id, payload, declared=None):
+    size = len(payload) if declared is None else declared
+    return chunk_id + struct.pack("<I", size) + payload + b"\x00" * (len(payload) & 1)
+
+
+def _riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _fmt(tag, bits, rate=16000, channels=1):
+    align = channels * (bits // 8 if bits > 8 else 1)
+    return struct.pack("<HHIIHH", tag, channels, rate, rate * align, align, bits)
+
+
+def _extensible(sub_format, bits, rate=16000):
+    align = bits // 8
+    head = struct.pack("<HHIIHH", 0xFFFE, 1, rate, rate * align, align, bits)
+    return head + struct.pack("<HHIH", 22, bits, 4, sub_format) + _GUID_TAIL
+
+
+_PCM = np.array([0, 1, -1, 32767, -32768, 1234], dtype="<i2")
+_FLT = np.array([0.0, 0.5, -0.25, 3.0e-8, -7.5], dtype="<f4")
+
+
+@pytest.mark.parametrize(
+    "raw, want",
+    [
+        pytest.param(
+            _riff(_chunk(b"LIST", b"abc"), _chunk(b"fmt ", _fmt(1, 16)), _chunk(b"data", _PCM.tobytes())),
+            _PCM / 32768.0,
+            id="odd LIST before fmt",
+        ),
+        pytest.param(
+            _riff(_chunk(b"fmt ", _extensible(1, 16)), _chunk(b"data", _PCM.tobytes())),
+            _PCM / 32768.0,
+            id="extensible PCM16",
+        ),
+        pytest.param(
+            _riff(
+                _chunk(b"fmt ", _extensible(3, 32)),
+                _chunk(b"fact", struct.pack("<I", _FLT.size)),
+                _chunk(b"data", _FLT.tobytes()),
+            ),
+            _FLT.astype(np.float64),
+            id="extensible float32",
+        ),
+        pytest.param(
+            _riff(
+                _chunk(b"fmt ", _fmt(3, 32) + b"\x00\x00"),
+                _chunk(b"JUNK", b"x" * 5),
+                _chunk(b"data", _FLT.tobytes()),
+                _chunk(b"LIST", b"tail"),
+            ),
+            _FLT.astype(np.float64),
+            id="odd JUNK before data, LIST after",
+        ),
+        pytest.param(
+            _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 12)), _chunk(b"data", _PCM.tobytes())),
+            _PCM / 32768.0,
+            id="12-bit PCM in 2-byte blocks",
+        ),
+        pytest.param(
+            _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 64)), _chunk(b"data", _FLT.tobytes())),
+            _FLT.astype(np.float64),
+            id="float header of 64 bits in 4-byte blocks",
+        ),
+    ],
+)
+def test_reads_hand_built_headers_like_scipy(tmp_path, raw, want):
+    path = tmp_path / "hand.wav"
+    path.write_bytes(raw)
+    wave = read_wav(path)
+    assert wave.sample_rate == 16000
+    assert np.array_equal(wave.samples, want)
+    rate, reference = _scipy_read(path)
+    assert rate == wave.sample_rate and np.array_equal(wave.samples, reference)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"hello, this is not a WAV file", "not a RIFF/WAVE file"),
+        (b"RIFF\x04\x00\x00\x00AVI ", "not a RIFF/WAVE file"),
+        (b"RF64\xff\xff\xff\xffWAVEds64" + bytes(28), "RF64"),
+        (_riff(_chunk(b"data", _PCM.tobytes())), "missing fmt chunk"),
+        (_riff(_chunk(b"fmt ", _fmt(1, 16))), "missing data chunk"),
+        (_riff(_chunk(b"fmt ", _fmt(1, 16)), _chunk(b"data", _PCM.tobytes(), declared=100)), "declares 100 bytes"),
+        (_riff(_chunk(b"fmt ", _fmt(1, 16)), _chunk(b"data", b"\x01\x02\x03")), "whole number"),
+        (_riff(_chunk(b"fmt ", _fmt(1, 16, channels=3)), _chunk(b"data", bytes(12))), "got 3 channels"),
+        (_riff(_chunk(b"fmt ", _fmt(1, 8)), _chunk(b"data", bytes(4))), "unsupported encoding 8-bit PCM"),
+        (
+            _riff(_chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 8)), _chunk(b"data", bytes(4))),
+            "unsupported encoding 8-bit PCM",
+        ),
+        (_riff(_chunk(b"fmt ", _fmt(1, 24)), _chunk(b"data", bytes(6))), "unsupported encoding 24-bit PCM"),
+        (_riff(_chunk(b"fmt ", _fmt(1, 32)), _chunk(b"data", bytes(8))), "unsupported encoding 32-bit PCM"),
+        (_riff(_chunk(b"fmt ", _fmt(3, 64)), _chunk(b"data", bytes(16))), "unsupported encoding 64-bit float"),
+        (_riff(_chunk(b"fmt ", _extensible(1, 24)), _chunk(b"data", bytes(6))), "unsupported encoding 24-bit PCM"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "wav",
+)
+def test_read_rejects_bad_files_naming_the_path(tmp_path, raw, message):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match=message) as info:
+        read_wav(path)
+    assert str(path) in str(info.value)
+
+
+def test_enhance_does_not_load_scipy(tmp_path):
+    rng = np.random.default_rng(0)
+    for name in ("noisy", "clean", "noise"):
+        write_wav(Waveform(0.1 * rng.standard_normal(2048), 16000), tmp_path / f"{name}.wav")
+    argv = [
+        "enhance", str(tmp_path / "noisy.wav"), "--method", "nm", "--iters", "1",
+        "--oracle-clean", str(tmp_path / "clean.wav"),
+        "--oracle-noise", str(tmp_path / "noise.wav"),
+        "--out", str(tmp_path / "out.wav"),
+    ]
+    code = (
+        "import sys\n"
+        "from msgla.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+    assert read_wav(tmp_path / "out.wav").sample_rate == 16000

@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+from msgla import cli
 from msgla.audio_io import read_wav, write_wav
 from msgla.cli import main
-from msgla.harness import synthesize_mixture
+from msgla.harness import _scale_noise, synthesize_mixture
 from msgla.metrics import si_snr
+from msgla.spectral import Waveform
 
 
 def _quantized_triple(seed, snr_db=0.0, duration=0.5):
@@ -464,3 +466,40 @@ def test_no_center_config_key_is_rejected(mixture_files, tmp_path, capsys):
     assert code == 2
     assert "no_center" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("snr_flags", [[], ["--snr-db", "0"]])
+def test_analyze_rejects_a_silent_clean_wav(mixture_files, tmp_path, capsys, snr_flags):
+    _, paths, tri = mixture_files
+    silent = tmp_path / "silent.wav"
+    write_wav(Waveform(np.zeros(len(tri.clean)), 16000), silent)
+    out_dir = tmp_path / "maps"
+    argv = ["analyze", "--clean", str(silent), "--noise", str(paths["noise"]), "--out-dir", str(out_dir)]
+    assert main([*argv, *snr_flags]) == 2
+    err = capsys.readouterr().err
+    assert "--clean" in err and str(silent) in err and "silent" in err
+    assert not (out_dir / "summary.json").exists()
+
+
+def test_analyze_snr_db_scales_noise_like_the_harness(mixture_files, tmp_path, capsys):
+    _, paths, tri = mixture_files
+    silent = tmp_path / "silent.wav"
+    write_wav(Waveform(np.zeros(len(tri.noise)), 16000), silent)
+    argv = ["analyze", "--clean", str(paths["clean"]), "--out-dir", str(tmp_path / "maps")]
+    assert main([*argv, "--noise", str(silent), "--snr-db", "6"]) == 2
+    err = capsys.readouterr().err
+    assert str(silent) in err and "silent" in err
+
+    calls = []
+
+    def spy(clean, noise, snr_db):
+        calls.append(snr_db)
+        return _scale_noise(clean, noise, snr_db)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_scale_noise", spy)
+        assert main([*argv, "--noise", str(paths["noise"]), "--snr-db", "6"]) == 0
+    assert calls == [6.0]
+    summary = json.loads((tmp_path / "maps" / "summary.json").read_text())
+    values = [v for part in ("speech_phase", "noise_phase") for v in summary[part].values()]
+    assert all(np.isfinite(values))

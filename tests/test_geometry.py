@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msgla.geometry import (
     SignField,
@@ -198,3 +200,72 @@ def test_oracle_sign_trivial_directions():
     assert np.all(plus.values == 1.0)
     minus = oracle_sign(cand, cand.minus_candidate)
     assert np.all(minus.values[cand.abs_delta > 1e-9] == -1.0)
+
+
+# --- both laws are exact on random triangles ---------------------------------
+
+_MAG = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
+_PHASE = st.floats(-np.pi, np.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_MAG, _MAG, _PHASE, _PHASE), min_size=1, max_size=40))
+def test_both_laws_are_exact_on_random_triangles(bins):
+    mag_speech, mag_noise, phase_speech, phase_noise = (np.array(v) for v in zip(*bins))
+    mixture = mag_speech * np.exp(1j * phase_speech) + mag_noise * np.exp(1j * phase_noise)
+    mag_mix, phase_mix = np.abs(mixture), np.angle(mixture)
+    # each side within two decades of the speech side, so that forming the
+    # mixture does not cancel away the triangle it is checked against
+    sides = np.ones(len(bins), dtype=bool)
+    for other in (mag_mix, mag_noise):
+        sides &= (other >= 1e-2 * mag_speech) & (other <= 1e2 * mag_speech)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_arg = (mag_mix**2 + mag_speech**2 - mag_noise**2) / (2 * mag_speech * mag_mix)
+    sin_arg = mag_mix / mag_speech * np.sin(phase_mix - phase_noise)
+
+    cos = cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise)
+    sin = sine_phase_candidates(mag_mix, phase_mix, mag_speech, phase_noise)
+    for cand, arg in ((cos, cos_arg), (sin, sin_arg)):
+        checked = sides & (np.abs(arg) <= 1 - 1e-6)
+        assert np.all(nearest_candidate_distance(phase_speech, cand)[checked] <= 1e-8)
+        assert cand.validity_mask[checked].all()
+
+
+def _violating_cosine(mags, scale):
+    """Magnitudes where one side exceeds the sum of the other two by ``scale``."""
+    a, b, which = mags
+    third = (a + b) * (1.0 + scale)
+    return [(third, a, b), (a, third, b), (a, b, third)][which]
+
+
+@settings(max_examples=300, deadline=None)
+@example([((1.0, 1.0, 0), 1.0, np.pi, 0.0)])  # degenerate sine bin at phase_mix = +pi
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(_MAG, _MAG, st.integers(0, 2)),
+            st.floats(1e-6, 10.0),
+            _PHASE,
+            _PHASE,
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_both_laws_clamp_triangle_violations(bins):
+    mags = np.array([_violating_cosine(m, s) for m, s, _, _ in bins])
+    mag_mix, mag_speech, mag_noise = mags.T
+    phase_mix = np.array([b[2] for b in bins])
+    phase_noise = np.array([b[3] for b in bins])
+    # the sine law is violated when the speech side cannot reach the noise line
+    reach = mag_mix * np.abs(np.sin(phase_mix - phase_noise))
+    shrink = np.array([s for _, s, _, _ in bins]) / 11.0
+    sin_speech = reach * (1.0 - shrink)
+
+    cos = cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise)
+    sin = sine_phase_candidates(mag_mix, phase_mix, sin_speech, phase_noise)
+    for cand in (cos, sin):
+        for values in cand.candidate_pair():
+            assert np.isfinite(values).all()
+            assert np.all((values >= -np.pi) & (values < np.pi))
+        assert not cand.validity_mask.any()
