@@ -21,25 +21,22 @@ import numpy as np
 
 from . import __version__
 from .audio_io import RunArtifact, fingerprint, format_number, persist_run, read_wav, write_wav
-from .geometry import (
-    cosine_phase_candidates,
-    nearest_candidate_distance,
-    oracle_sign,
-    sine_phase_candidates,
-)
+from .geometry import cosine_phase_candidates, nearest_candidate_distance, sine_phase_candidates
 from .harness import (
     METHOD_NEEDS,
+    EstimateProvider,
     ExperimentSpec,
     MixtureSpec,
+    _estimates,
     _scale_noise,
+    _spectra,
     default_provider_pairs,
-    perturb_magnitude,
     perturb_phase,
     run_experiment,
 )
 from .metrics import phase_cos_sim, phase_error_map, plain_snr, si_snr
-from .reconstruct import METHODS, Estimates, ReconConfig, enhance
-from .spectral import StftConfig, Waveform, decompose, stft, wrap_phase
+from .reconstruct import METHODS, ReconConfig, enhance
+from .spectral import StftConfig, Waveform, angular_distance, decompose, stft
 
 log = logging.getLogger(__name__)
 
@@ -130,17 +127,17 @@ def _merge_config(defaults: dict, args: argparse.Namespace) -> dict:
 
 
 def _read_aligned(path, reference, what: str):
+    """The WAV at ``path``, checked against ``reference``; None for no path."""
+    if path is None:
+        return None
     wave = read_wav(path)
-    if reference is not None:
-        if wave.sample_rate != reference.sample_rate:
-            raise UsageError(
-                f"{what} sample rate {wave.sample_rate} does not match noisy input "
-                f"{reference.sample_rate}"
-            )
-        if len(wave) != len(reference):
-            raise UsageError(
-                f"{what} has {len(wave)} samples but noisy input has {len(reference)}"
-            )
+    if wave.sample_rate != reference.sample_rate:
+        raise UsageError(
+            f"{what} sample rate {wave.sample_rate} does not match noisy input "
+            f"{reference.sample_rate}"
+        )
+    if len(wave) != len(reference):
+        raise UsageError(f"{what} has {len(wave)} samples but noisy input has {len(reference)}")
     return wave
 
 
@@ -153,43 +150,21 @@ def cmd_enhance(cfg: dict) -> int:
     method = cfg["method"]
     if method not in METHODS:
         raise UsageError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
-    stft_cfg = _stft_config(cfg)
-    noisy = read_wav(cfg["noisy"])
-    noisy_spec = stft(noisy, stft_cfg)
-    mag_mix, phase_mix = decompose(noisy_spec)
-
     for quantity in METHOD_NEEDS[method]:
         source = "clean" if quantity == "mag_speech" else "noise"
         if cfg[f"oracle_{source}"] is None:
             raise UsageError(f"method '{method}' requires --oracle-{source} ({source} reference WAV)")
-
-    clean = noise = None
-    phase_speech = None
-    estimates = Estimates()
-    std = float(cfg["perturb_std"])
-    if cfg["oracle_clean"] is not None:
-        clean = _read_aligned(cfg["oracle_clean"], noisy, "--oracle-clean")
-        mag_speech, phase_speech = decompose(stft(clean, stft_cfg))
-        if std > 0:
-            rng = np.random.default_rng([int(cfg["perturb_seed"]), 0])
-            mag_speech = perturb_magnitude(mag_speech, std, rng)
-        estimates.mag_speech = mag_speech
-    if cfg["oracle_noise"] is not None:
-        noise = _read_aligned(cfg["oracle_noise"], noisy, "--oracle-noise")
-        mag_noise, phase_noise = decompose(stft(noise, stft_cfg))
-        if std > 0:
-            estimates.mag_noise = perturb_magnitude(
-                mag_noise, std, np.random.default_rng([int(cfg["perturb_seed"]), 1])
-            )
-            estimates.phase_noise = perturb_phase(
-                phase_noise, std, np.random.default_rng([int(cfg["perturb_seed"]), 2])
-            )
-        else:
-            estimates.mag_noise = mag_noise
-            estimates.phase_noise = phase_noise
-    if method == "sign":
-        cand = cosine_phase_candidates(mag_mix, phase_mix, estimates.mag_speech, estimates.mag_noise)
-        estimates.sign = oracle_sign(cand, phase_speech)
+    # The grid's perturbed oracle, for both halves of the pair, on a mixture of seed 0.
+    try:
+        provider = EstimateProvider("perturbed_oracle", float(cfg["perturb_std"]), int(cfg["perturb_seed"]))
+    except ValueError as exc:
+        raise UsageError(f"--perturb-std: {exc}") from exc
+    noisy = read_wav(cfg["noisy"])
+    clean = _read_aligned(cfg["oracle_clean"], noisy, "--oracle-clean")
+    noise = _read_aligned(cfg["oracle_noise"], noisy, "--oracle-noise")
+    noisy_spec, spectra = _spectra(noisy, clean, noise, _stft_config(cfg))
+    estimates = _estimates(method, spectra, (provider, provider), 0)
+    phase_speech = spectra.get("phase_speech")
 
     recon_cfg = ReconConfig(
         iterations=int(cfg["iters"]), init=cfg["init"], seed=int(cfg["seed"]), trace=True
@@ -217,14 +192,15 @@ def cmd_enhance(cfg: dict) -> int:
         ],
     }
     if clean is not None:
-        improvement = si_snr(wave, clean) - si_snr(noisy, clean)
+        si_snr_out, si_snr_noisy = si_snr(wave, clean), si_snr(noisy, clean)
+        improvement = si_snr_out - si_snr_noisy
         summary["metrics"].update(
-            si_snr_db=si_snr(wave, clean),
+            si_snr_db=si_snr_out,
             snr_db_plain=plain_snr(wave, clean),
-            si_snr_noisy_db=si_snr(noisy, clean),
+            si_snr_noisy_db=si_snr_noisy,
             si_snr_improvement_db=improvement,
             phase_cos_sim=phase_cos_sim(report.final_phase, phase_speech),
-            phase_cos_sim_noisy=phase_cos_sim(phase_mix, phase_speech),
+            phase_cos_sim_noisy=phase_cos_sim(spectra["phase_mix"], phase_speech),
         )
         log.info("si-snr improvement: %.2f dB", improvement)
     metrics_out = cfg["metrics_out"]
@@ -238,6 +214,10 @@ def cmd_oracle_exp(cfg: dict) -> int:
     for method in cfg["methods"]:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
+    try:
+        pairs = default_provider_pairs(float(cfg["noise_std"]), int(cfg["provider_seed"]))
+    except ValueError as exc:
+        raise UsageError(f"--noise-std: {exc}") from exc
     stft_cfg = _stft_config(cfg)
     recon_cfg = ReconConfig(iterations=int(cfg["iters"]), init=cfg["init"], trace=False)
     seeds = [int(s) for s in cfg["seeds"]]
@@ -255,7 +235,7 @@ def cmd_oracle_exp(cfg: dict) -> int:
     spec = ExperimentSpec(
         mixtures=mixtures,
         methods=list(cfg["methods"]),
-        provider_pairs=default_provider_pairs(float(cfg["noise_std"]), int(cfg["provider_seed"])),
+        provider_pairs=pairs,
         stft_cfg=stft_cfg,
         recon_cfg=recon_cfg,
     )
@@ -297,9 +277,10 @@ def cmd_candidates(cfg: dict) -> int:
     noisy = read_wav(cfg["noisy"])
     clean = _read_aligned(cfg["clean"], noisy, "clean WAV")
     noise = _read_aligned(cfg["noise"], noisy, "noise WAV")
-    mag_mix, phase_mix = decompose(stft(noisy, stft_cfg))
-    mag_speech, phase_speech = decompose(stft(clean, stft_cfg))
-    mag_noise, phase_noise = decompose(stft(noise, stft_cfg))
+    _, spectra = _spectra(noisy, clean, noise, stft_cfg)
+    mag_mix, phase_mix = spectra["mag_mix"], spectra["phase_mix"]
+    mag_speech, phase_speech = spectra["mag_speech"], spectra["phase_speech"]
+    mag_noise, phase_noise = spectra["mag_noise"], spectra["phase_noise"]
 
     floor = float(cfg["floor"])
     if cfg["law"] == "cos":
@@ -328,8 +309,6 @@ def cmd_candidates(cfg: dict) -> int:
     # scale) and where the two candidates are genuinely distinct; collinear
     # phasors put acos/asin at a branch point where rounding noise is
     # amplified and there is no sign ambiguity to resolve.
-    from .spectral import angular_distance
-
     cand_a, cand_b = cand.candidate_pair()
     separated = angular_distance(cand_a, cand_b) > 1e-3
     strong = cand.validity_mask & separated
@@ -387,8 +366,8 @@ def cmd_analyze(cfg: dict) -> int:
         sigma_noise = np.full_like(mag_speech, std)
     rng_speech = np.random.default_rng([int(cfg["seed"]), 0])
     rng_noise = np.random.default_rng([int(cfg["seed"]), 1])
-    est_speech = wrap_phase(phase_speech + sigma_speech * rng_speech.standard_normal(mag_speech.shape))
-    est_noise = wrap_phase(phase_noise + sigma_noise * rng_noise.standard_normal(mag_speech.shape))
+    est_speech = perturb_phase(phase_speech, sigma_speech, rng_speech)
+    est_noise = perturb_phase(phase_noise, sigma_noise, rng_noise)
 
     speech_map = phase_error_map(est_speech, phase_speech)
     noise_map = phase_error_map(est_noise, phase_noise)
@@ -429,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"msgla {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.required = True
 
     enh = sub.add_parser(
         "enhance",

@@ -117,8 +117,8 @@ class EstimateProvider:
     def __post_init__(self) -> None:
         if self.kind not in PROVIDER_KINDS:
             raise ValueError(f"provider kind must be one of {PROVIDER_KINDS}, got {self.kind!r}")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not np.isfinite(self.noise_std) or self.noise_std < 0:
+            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")
 
     def label(self) -> str:
         if self.kind == "perturbed_oracle":
@@ -324,6 +324,61 @@ class ResultTable:
     rows: list[dict]
 
 
+def _spectra(
+    noisy: Waveform, clean: Waveform | None, noise: Waveform | None, stft_cfg: StftConfig
+) -> tuple[Spectrogram, dict[str, np.ndarray]]:
+    """The noisy STFT and the read-only polar spectra ``mag_mix``, ``phase_mix``, ...
+
+    ``mag_speech``/``phase_speech`` and ``mag_noise``/``phase_noise`` are
+    present only when ``clean`` and ``noise`` are given.
+    """
+    noisy_spec = stft(noisy, stft_cfg)
+    spectra = {}
+    spectra["mag_mix"], spectra["phase_mix"] = decompose(noisy_spec)
+    if clean is not None:
+        spectra["mag_speech"], spectra["phase_speech"] = decompose(stft(clean, stft_cfg))
+    if noise is not None:
+        spectra["mag_noise"], spectra["phase_noise"] = decompose(stft(noise, stft_cfg))
+    for array in spectra.values():
+        array.setflags(write=False)
+    return noisy_spec, spectra
+
+
+def _estimates(
+    method: str,
+    spectra: dict[str, np.ndarray],
+    pair: tuple[EstimateProvider, EstimateProvider],
+    mixture_seed: int,
+    supplied: dict | None = None,
+) -> Estimates:
+    """The estimates ``enhance`` consumes for ``method``, from one mixture's spectra.
+
+    The pair's first provider supplies ``mag_speech``, its second the noise
+    quantities; ``sign`` also gets the oracle sign field of the supplied
+    magnitudes. ``passthrough`` takes a speech magnitude when the spectra hold
+    one. ``supplied`` caches each (provider, quantity) estimate of the mixture
+    as a read-only array.
+    """
+    supplied = {} if supplied is None else supplied
+    needs = METHOD_NEEDS[method]
+    if method == "passthrough" and "mag_speech" in spectra:
+        needs = ("mag_speech",)
+    estimates = Estimates()
+    for quantity in needs:
+        provider = pair[0] if quantity == "mag_speech" else pair[1]
+        key = (provider, quantity)
+        if key not in supplied:
+            supplied[key] = _provided(provider, quantity, spectra, mixture_seed)
+            supplied[key].setflags(write=False)
+        setattr(estimates, quantity, supplied[key])
+    if method == "sign":
+        cand = cosine_phase_candidates(
+            spectra["mag_mix"], spectra["phase_mix"], estimates.mag_speech, estimates.mag_noise
+        )
+        estimates.sign = oracle_sign(cand, spectra["phase_speech"])
+    return estimates
+
+
 @dataclass
 class _MixtureContext:
     """One mixture's spectra, computed once and shared by all of its cells.
@@ -341,14 +396,6 @@ class _MixtureContext:
     cos_sim_noisy: float
     supplied: dict[tuple[EstimateProvider, str], np.ndarray] = field(default_factory=dict)
 
-    def estimate(self, provider: EstimateProvider, quantity: str) -> np.ndarray:
-        key = (provider, quantity)
-        if key not in self.supplied:
-            value = _provided(provider, quantity, self.spectra, self.spec.seed)
-            value.setflags(write=False)
-            self.supplied[key] = value
-        return self.supplied[key]
-
 
 def _mixture_context(spec: MixtureSpec, stft_cfg: StftConfig) -> _MixtureContext:
     triple = synthesize_mixture(
@@ -360,13 +407,7 @@ def _mixture_context(spec: MixtureSpec, stft_cfg: StftConfig) -> _MixtureContext
         clean_path=spec.clean_path,
         noise_path=spec.noise_path,
     )
-    noisy_spec = stft(triple.noisy, stft_cfg)
-    spectra = {}
-    spectra["mag_mix"], spectra["phase_mix"] = decompose(noisy_spec)
-    spectra["mag_speech"], spectra["phase_speech"] = decompose(stft(triple.clean, stft_cfg))
-    spectra["mag_noise"], spectra["phase_noise"] = decompose(stft(triple.noise, stft_cfg))
-    for array in spectra.values():
-        array.setflags(write=False)
+    noisy_spec, spectra = _spectra(triple.noisy, triple.clean, triple.noise, stft_cfg)
     return _MixtureContext(
         spec=spec,
         triple=triple,
@@ -384,21 +425,12 @@ def _run_cell(
     recon_cfg: ReconConfig,
     fingerprint: str,
 ) -> dict:
-    estimates = Estimates()
     if pair is None:
         speech_label = noise_label = "-"
+        estimates = Estimates()
     else:
-        speech_provider, noise_provider = pair
-        speech_label, noise_label = speech_provider.label(), noise_provider.label()
-        for quantity in METHOD_NEEDS[method]:
-            provider = speech_provider if quantity == "mag_speech" else noise_provider
-            setattr(estimates, quantity, ctx.estimate(provider, quantity))
-    spectra = ctx.spectra
-    if method == "sign":
-        cand = cosine_phase_candidates(
-            spectra["mag_mix"], spectra["phase_mix"], estimates.mag_speech, estimates.mag_noise
-        )
-        estimates.sign = oracle_sign(cand, spectra["phase_speech"])
+        speech_label, noise_label = pair[0].label(), pair[1].label()
+        estimates = _estimates(method, ctx.spectra, pair, ctx.spec.seed, ctx.supplied)
 
     enhanced, report = enhance(ctx.noisy_spec, method, estimates, recon_cfg)
     return {
@@ -411,7 +443,7 @@ def _run_cell(
         "snr_db": ctx.spec.snr_db,
         "si_snr_db": si_snr(enhanced, ctx.triple.clean),
         "snr_db_plain": plain_snr(enhanced, ctx.triple.clean),
-        "phase_cos_sim": phase_cos_sim(report.final_phase, spectra["phase_speech"]),
+        "phase_cos_sim": phase_cos_sim(report.final_phase, ctx.spectra["phase_speech"]),
         "inconsistency": report.final_inconsistency,
         "si_snr_noisy_db": ctx.si_snr_noisy,
         "phase_cos_sim_noisy": ctx.cos_sim_noisy,

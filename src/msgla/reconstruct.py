@@ -14,7 +14,6 @@ iteration count (default 5) is used rather than a convergence test.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,11 +46,6 @@ __all__ = [
 
 INIT_KINDS = ("noisy", "zero", "random")
 METHODS = ("passthrough", "gla", "nm", "np", "sign")
-
-# While ``enhance`` runs a loop, the loop's last pass appends its synthesized
-# signal here; the public loops return only the report.
-_SIGNALS: ContextVar[list | None] = ContextVar("_SIGNALS", default=None)
-
 
 @dataclass(frozen=True)
 class ReconConfig:
@@ -89,11 +83,13 @@ class ReconReport:
     """Outcome of a reconstruction run, with optional per-iteration trace.
 
     ``final_inconsistency`` measures the final iterate, traced or not; with
-    trace on it equals ``per_iteration[-1].inconsistency``.
+    trace on it equals ``per_iteration[-1].inconsistency``. ``signal`` is the
+    synthesis of the final iterate, trimmed to the original length.
     """
 
     final_phase: np.ndarray
     final_inconsistency: float
+    signal: np.ndarray
     per_iteration: list[IterationStats] = field(default_factory=list)
     phases: list[np.ndarray] | None = None
     method: str = ""
@@ -196,8 +192,8 @@ def _run(
     Each iteration projects the speech estimate ``mag * z`` onto consistent
     spectrograms and hands the projection to ``update(z, projected)``, which
     returns the next phasor. One last pass projects the final iterate through
-    its synthesized signal, which measures the final inconsistency and is
-    handed to ``enhance``. Angles are formed only for the report. A bin whose
+    its synthesized signal, which measures the final inconsistency and goes
+    on the report. Angles are formed only for the report. A bin whose
     phasor never moved reports ``phase`` exactly as given. ``z0``, the
     initial phasor, defaults to ``exp(1j * phase)``.
     """
@@ -222,11 +218,8 @@ def _run(
             z = update(z, projected)
             if cfg.trace:
                 phases.append(angles(z))
-    signals = _SIGNALS.get()
-    if signals is not None:
-        signals.append(signal)
     final = stats[-1].inconsistency if cfg.trace else weighted_frobenius(speech - projected, stft_cfg)
-    return ReconReport(phases[-1] if cfg.trace else angles(z), final, stats, phases, method)
+    return ReconReport(phases[-1] if cfg.trace else angles(z), final, signal, stats, phases, method)
 
 
 def gla(
@@ -367,33 +360,27 @@ def enhance(
         return _run(method, mag, phase, None, no_loop, noisy.config, length, ref_phase, candidates)
 
     mag = mag_mix if method == "passthrough" and est.mag_speech is None else needed("mag_speech")
-    signals: list[np.ndarray] = []
-    token = _SIGNALS.set(signals)
-    try:
-        if method == "passthrough":
-            report = one_shot(mag, phase_mix)
-        elif method == "gla":
-            report = gla(
-                mag,
-                cfg,
-                noisy.config,
-                origin_length=noisy.origin_length,
-                noisy_phase=phase_mix,
-                ref_phase=ref_phase,
-                candidates=candidates,
-            )
-        elif method == "nm":
-            mag_noise = needed("mag_noise")
-            report = nm_msgla(noisy, mag, mag_noise, cfg, ref_phase=ref_phase, candidates=candidates)
-        elif method == "np":
-            phase_noise = needed("phase_noise", nonnegative=False)
-            report = np_msgla(noisy, mag, phase_noise, cfg, ref_phase=ref_phase, candidates=candidates)
-        else:  # sign
-            mag_noise = needed("mag_noise")
-            sign = _require(est.sign, method, "sign")
-            cand = cosine_phase_candidates(mag_mix, phase_mix, mag, mag_noise)
-            report = one_shot(mag, apply_sign_field(phase_mix, cand.abs_delta, sign))
-    finally:
-        _SIGNALS.reset(token)
-    (signal,) = signals
-    return Waveform(signal, noisy.sample_rate), report
+    if method == "passthrough":
+        report = one_shot(mag, phase_mix)
+    elif method == "gla":
+        report = gla(
+            mag,
+            cfg,
+            noisy.config,
+            origin_length=noisy.origin_length,
+            noisy_phase=phase_mix,
+            ref_phase=ref_phase,
+            candidates=candidates,
+        )
+    elif method == "nm":
+        mag_noise = needed("mag_noise")
+        report = nm_msgla(noisy, mag, mag_noise, cfg, ref_phase=ref_phase, candidates=candidates)
+    elif method == "np":
+        phase_noise = needed("phase_noise", nonnegative=False)
+        report = np_msgla(noisy, mag, phase_noise, cfg, ref_phase=ref_phase, candidates=candidates)
+    else:  # sign
+        mag_noise = needed("mag_noise")
+        sign = _require(est.sign, method, "sign")
+        cand = cosine_phase_candidates(mag_mix, phase_mix, mag, mag_noise)
+        report = one_shot(mag, apply_sign_field(phase_mix, cand.abs_delta, sign))
+    return Waveform(report.signal, noisy.sample_rate), report

@@ -9,9 +9,10 @@ import pytest
 from msgla import cli
 from msgla.audio_io import read_wav, write_wav
 from msgla.cli import main
-from msgla.harness import _scale_noise, synthesize_mixture
+from msgla.harness import EstimateProvider, _estimates, _scale_noise, _spectra, synthesize_mixture
 from msgla.metrics import si_snr
-from msgla.spectral import Waveform
+from msgla.reconstruct import ReconConfig, enhance
+from msgla.spectral import Spectrogram, StftConfig, Waveform, decompose, istft, recompose, stft
 
 
 def _quantized_triple(seed, snr_db=0.0, duration=0.5):
@@ -503,3 +504,86 @@ def test_analyze_snr_db_scales_noise_like_the_harness(mixture_files, tmp_path, c
     summary = json.loads((tmp_path / "maps" / "summary.json").read_text())
     values = [v for part in ("speech_phase", "noise_phase") for v in summary[part].values()]
     assert all(np.isfinite(values))
+
+
+def _enhance_argv(paths, out, method, *extra):
+    return [
+        "enhance",
+        str(paths["noisy"]),
+        "--method",
+        method,
+        "--oracle-clean",
+        str(paths["clean"]),
+        "--oracle-noise",
+        str(paths["noise"]),
+        "--out",
+        str(out),
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize("method", ["nm", "np", "sign"])
+def test_enhance_perturbed_estimates_are_the_grids(mixture_files, method):
+    # --perturb-std s --perturb-seed k is the grid's perturbed(s) provider, seed k,
+    # for speech and noise alike, on a mixture of seed 0.
+    tmp_path, paths, _ = mixture_files
+    out = tmp_path / f"{method}.wav"
+    assert main(_enhance_argv(paths, out, method, "--perturb-std", "0.3", "--perturb-seed", "7")) == 0
+
+    waves = [read_wav(paths[name]) for name in ("noisy", "clean", "noise")]
+    noisy_spec, spectra = _spectra(*waves, StftConfig())
+    provider = EstimateProvider("perturbed_oracle", 0.3, 7)
+    estimates = _estimates(method, spectra, (provider, provider), 0)
+    expected, _ = enhance(noisy_spec, method, estimates, ReconConfig())
+    assert np.array_equal(read_wav(out).samples, expected.samples.astype(np.float32))
+    oracle = EstimateProvider("oracle")
+    unperturbed, _ = enhance(noisy_spec, method, _estimates(method, spectra, (oracle, oracle), 0))
+    assert not np.array_equal(expected.samples, unperturbed.samples)
+
+
+def test_enhance_perturbation_is_seeded(mixture_files):
+    tmp_path, paths, _ = mixture_files
+    outputs = {}
+    for name, seed in (("a", "3"), ("b", "3"), ("c", "4")):
+        out = tmp_path / f"{name}.wav"
+        assert main(_enhance_argv(paths, out, "nm", "--perturb-std", "0.3", "--perturb-seed", seed)) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["a"] == outputs["b"]
+    assert outputs["a"] != outputs["c"]
+
+
+def test_enhance_passthrough_takes_the_clean_magnitude(mixture_files):
+    tmp_path, paths, tri = mixture_files
+    out = tmp_path / "pass.wav"
+    argv = ["enhance", str(paths["noisy"]), "--method", "passthrough", "--out", str(out)]
+    assert main([*argv, "--oracle-clean", str(paths["clean"])]) == 0
+    samples = read_wav(out).samples
+    noisy_spec = stft(tri.noisy)
+    mag_speech, _ = decompose(stft(tri.clean))
+    _, phase_mix = decompose(noisy_spec)
+    expected = istft(Spectrogram(recompose(mag_speech, phase_mix), noisy_spec.config, len(tri.noisy)))
+    assert not np.allclose(samples, tri.noisy.samples, atol=1e-3)
+    np.testing.assert_allclose(samples, expected.samples, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize(
+    ("command", "flag", "value"),
+    [
+        ("enhance", "--perturb-std", "-0.3"),
+        ("enhance", "--perturb-std", "nan"),
+        ("oracle-exp", "--noise-std", "-1"),
+        ("oracle-exp", "--noise-std", "nan"),
+    ],
+)
+def test_bad_perturbation_scale_is_a_usage_error(mixture_files, capsys, command, flag, value):
+    tmp_path, paths, _ = mixture_files
+    if command == "enhance":
+        out = tmp_path / "out.wav"
+        argv = _enhance_argv(paths, out, "nm")
+    else:
+        out = tmp_path / "exp" / "results.csv"
+        argv = ["oracle-exp", "--out-dir", str(out.parent), "--seeds", "0", "--snr-grid", "0"]
+    assert main([*argv, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "finite and non-negative" in err
+    assert not out.exists()

@@ -147,6 +147,12 @@ def test_provider_validation():
         EstimateProvider("perturbed_oracle", -0.1)
 
 
+@pytest.mark.parametrize("std", [float("nan"), float("inf"), -float("inf")])
+def test_provider_rejects_a_non_finite_scale(std):
+    with pytest.raises(ValueError, match="noise_std must be finite and non-negative"):
+        EstimateProvider("perturbed_oracle", std)
+
+
 def _small_spec(methods, seeds=(0, 1), snr=0.0, pairs=None):
     mixtures = [MixtureSpec("harmonic", snr, 0.25, 16000, s) for s in seeds]
     return ExperimentSpec(

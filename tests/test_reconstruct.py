@@ -503,6 +503,21 @@ def test_last_pass_yields_the_waveform_and_the_final_inconsistency(method, trace
         assert gap <= 1e-12 * np.linalg.norm(expected.samples)
 
 
+def test_public_loops_report_the_signal_enhance_returns():
+    noisy, est, mag = _last_pass_case("nm")
+    cfg = ReconConfig(iterations=3)
+    mag_mix, phase_mix = decompose(noisy)
+    reports = {
+        "gla": gla(mag, cfg, noisy.config, origin_length=noisy.origin_length, noisy_phase=phase_mix),
+        "nm": nm_msgla(noisy, mag, est.mag_noise, cfg),
+        "np": np_msgla(noisy, mag, est.phase_noise, cfg),
+    }
+    for method, report in reports.items():
+        wave, _ = enhance(noisy, method, est, cfg)
+        assert report.signal.shape == (noisy.origin_length,)
+        assert np.array_equal(report.signal, wave.samples)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_enhance_synthesizes_once_per_projection_plus_the_last_pass(monkeypatch, method):
     noisy, est, _ = _last_pass_case(method)
