@@ -126,18 +126,21 @@ def _merge_config(defaults: dict, args: argparse.Namespace) -> dict:
     return merged
 
 
-def _read_aligned(path, reference, what: str):
-    """The WAV at ``path``, checked against ``reference``; None for no path."""
+def _read_aligned(path, reference, what: str, reference_name: str):
+    """The WAV at ``path``, checked against ``reference``; None for no path.
+
+    Error messages name the file as ``what`` and the reference as ``reference_name``.
+    """
     if path is None:
         return None
     wave = read_wav(path)
     if wave.sample_rate != reference.sample_rate:
         raise UsageError(
-            f"{what} sample rate {wave.sample_rate} does not match noisy input "
+            f"{what} sample rate {wave.sample_rate} does not match {reference_name} "
             f"{reference.sample_rate}"
         )
     if len(wave) != len(reference):
-        raise UsageError(f"{what} has {len(wave)} samples but noisy input has {len(reference)}")
+        raise UsageError(f"{what} has {len(wave)} samples but {reference_name} has {len(reference)}")
     return wave
 
 
@@ -160,8 +163,8 @@ def cmd_enhance(cfg: dict) -> int:
     except ValueError as exc:
         raise UsageError(f"--perturb-std: {exc}") from exc
     noisy = read_wav(cfg["noisy"])
-    clean = _read_aligned(cfg["oracle_clean"], noisy, "--oracle-clean")
-    noise = _read_aligned(cfg["oracle_noise"], noisy, "--oracle-noise")
+    clean = _read_aligned(cfg["oracle_clean"], noisy, "--oracle-clean", "noisy input")
+    noise = _read_aligned(cfg["oracle_noise"], noisy, "--oracle-noise", "noisy input")
     noisy_spec, spectra = _spectra(noisy, clean, noise, _stft_config(cfg))
     estimates = _estimates(method, spectra, (provider, provider), 0)
     phase_speech = spectra.get("phase_speech")
@@ -275,8 +278,8 @@ def cmd_oracle_exp(cfg: dict) -> int:
 def cmd_candidates(cfg: dict) -> int:
     stft_cfg = _stft_config(cfg)
     noisy = read_wav(cfg["noisy"])
-    clean = _read_aligned(cfg["clean"], noisy, "clean WAV")
-    noise = _read_aligned(cfg["noise"], noisy, "noise WAV")
+    clean = _read_aligned(cfg["clean"], noisy, "clean WAV", "noisy input")
+    noise = _read_aligned(cfg["noise"], noisy, "noise WAV", "noisy input")
     _, spectra = _spectra(noisy, clean, noise, stft_cfg)
     mag_mix, phase_mix = spectra["mag_mix"], spectra["phase_mix"]
     mag_speech, phase_speech = spectra["mag_speech"], spectra["phase_speech"]
@@ -339,11 +342,14 @@ def _write_grid(path: Path, grid: np.ndarray) -> None:
 
 
 def cmd_analyze(cfg: dict) -> int:
+    std = float(cfg["noise_std"])
+    if not np.isfinite(std) or std < 0:
+        raise UsageError(f"--noise-std: must be finite and non-negative, got {std!r}")
     stft_cfg = _stft_config(cfg)
     clean = read_wav(cfg["clean"])
     if not clean.samples.any():
         raise UsageError(f"--clean WAV {cfg['clean']} is silent; its energy split is undefined")
-    noise = _read_aligned(cfg["noise"], clean, "--noise")
+    noise = _read_aligned(cfg["noise"], clean, "--noise", "--clean")
     noise_samples = noise.samples
     if cfg["snr_db"] is not None:
         try:
@@ -354,7 +360,6 @@ def cmd_analyze(cfg: dict) -> int:
     mag_speech, phase_speech = decompose(stft(clean, stft_cfg))
     _, phase_noise = decompose(stft(Waveform(noise_samples, clean.sample_rate), stft_cfg))
 
-    std = float(cfg["noise_std"])
     energy = mag_speech / mag_speech.max() if mag_speech.max() > 0 else mag_speech
     if cfg["scale_by_energy"]:
         # speech phase degrades where speech is weak; noise phase degrades

@@ -112,10 +112,33 @@ def bin_weights(cfg: StftConfig) -> np.ndarray:
     return w
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of the elementwise products of two float64 arrays of one size.
+
+    It runs in einsum's own loop, not in BLAS, so that no result depends on
+    the BLAS thread count.
+    """
+    return float(np.einsum("i,i->", a.reshape(-1), b.reshape(-1)))
+
+
 def weighted_frobenius(values, cfg: StftConfig) -> float:
-    """Frobenius norm of a one-sided array measured on the full spectrum."""
+    """Frobenius norm of a one-sided array measured on the full spectrum.
+
+    It is ``sqrt(sum(bin_weights(cfg) * abs(values)**2))``, formed as twice
+    the sum of squares of every component less that of the edge bins (DC, and
+    Nyquist for an even FFT length), so no weighted copy is built. The last
+    axis must hold the ``cfg.n_bins`` bins; leading axes are free.
+    """
     v = np.asarray(values)
-    return float(np.sqrt(np.sum(bin_weights(cfg) * np.abs(v) ** 2)))
+    if v.shape[-1:] != (cfg.n_bins,):
+        raise ValueError(f"values shape {v.shape} does not end in config bins {cfg.n_bins}")
+    complex_input = np.iscomplexobj(v)
+    v = np.ascontiguousarray(v, dtype=np.complex128 if complex_input else np.float64)
+    # (..., bin, component): one component for real input, two for complex.
+    parts = v.view(np.float64).reshape(*v.shape, 2 if complex_input else 1)
+    # An even FFT length has a Nyquist bin: the stride n_bins - 1 picks it and DC.
+    edges = parts[..., :: cfg.n_bins - 1, :] if cfg.fft_length % 2 == 0 else parts[..., :1, :]
+    return float(np.sqrt(2.0 * _dot(parts, parts) - _dot(edges, edges)))
 
 
 def inconsistency(mag, phase, cfg: StftConfig, origin_length: int | None = None) -> float:

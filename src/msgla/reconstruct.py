@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import apply_sign_field, cosine_phase_candidates, nearest_candidate_distance
-from .metrics import phase_cos_sim, weighted_frobenius
+from .metrics import _dot, weighted_frobenius
 from .spectral import (
     Spectrogram,
     StftConfig,
@@ -120,15 +120,21 @@ def _stats(
     n: int,
     speech_values: np.ndarray,
     projected: np.ndarray,
+    z: np.ndarray,
     phase: np.ndarray,
     stft_cfg: StftConfig,
-    ref_phase,
+    ref: np.ndarray | None,
     candidates,
 ) -> IterationStats:
+    """Diagnostics of the iterate ``z`` (angles ``phase``); ``ref`` is the reference phasor.
+
+    As ``|z| = |ref| = 1`` to rounding, the phase cosine similarity is
+    ``Re <ref, z> / N``: one dot product over the float64 components.
+    """
     return IterationStats(
         iteration=n,
         inconsistency=weighted_frobenius(speech_values - projected, stft_cfg),
-        phase_cos_sim=None if ref_phase is None else phase_cos_sim(phase, ref_phase),
+        phase_cos_sim=None if ref is None else _dot(ref.view(np.float64), z.view(np.float64)) / z.size,
         candidate_distance=(
             None
             if candidates is None
@@ -184,6 +190,14 @@ def _initial_mixture_phasor(cfg: ReconConfig, noisy: Spectrogram):
     return phase, _unit(noisy.values, mag_mix, np.ones(mag_mix.shape, dtype=np.complex128))
 
 
+def _expj(phase: np.ndarray) -> np.ndarray:
+    """``exp(1j * phase)`` written as one cosine and one sine, cheaper than the complex exp."""
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def _run(
     method, mag, phase, update, cfg: ReconConfig, stft_cfg, length, ref_phase, candidates, z0=None
 ):
@@ -195,9 +209,16 @@ def _run(
     its synthesized signal, which measures the final inconsistency and goes
     on the report. Angles are formed only for the report. A bin whose
     phasor never moved reports ``phase`` exactly as given. ``z0``, the
-    initial phasor, defaults to ``exp(1j * phase)``.
+    initial phasor, defaults to ``exp(1j * phase)``. A traced run forms the
+    phasor of ``ref_phase`` once and compares every iterate with it.
     """
     z0 = np.exp(1j * phase) if z0 is None else z0
+    ref = None
+    if cfg.trace and ref_phase is not None:
+        ref_phase = np.asarray(ref_phase, dtype=np.float64)
+        if ref_phase.shape != mag.shape:
+            raise ValueError(f"ref_phase shape {ref_phase.shape} does not match iterate shape {mag.shape}")
+        ref = _expj(ref_phase)
 
     def angles(z):
         return phase if z is z0 else np.where(z == z0, phase, wrap_phase(np.angle(z)))
@@ -213,7 +234,7 @@ def _run(
             signal = _synthesize(speech, stft_cfg, length)
             projected = _analyze(signal, stft_cfg)
         if cfg.trace:
-            stats.append(_stats(n, speech, projected, phases[-1], stft_cfg, ref_phase, candidates))
+            stats.append(_stats(n, speech, projected, z, phases[-1], stft_cfg, ref, candidates))
         if n < cfg.iterations:
             z = update(z, projected)
             if cfg.trace:

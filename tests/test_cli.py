@@ -587,3 +587,46 @@ def test_bad_perturbation_scale_is_a_usage_error(mixture_files, capsys, command,
     err = capsys.readouterr().err
     assert flag in err and "finite and non-negative" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_analyze_rejects_a_bad_noise_std(mixture_files, tmp_path, capsys, value):
+    _, paths, _ = mixture_files
+    out_dir = tmp_path / "maps"
+    argv = ["analyze", "--clean", str(paths["clean"]), "--noise", str(paths["noise"])]
+    assert main([*argv, "--out-dir", str(out_dir), "--noise-std", value]) == 2
+    err = capsys.readouterr().err
+    assert "--noise-std" in err and "finite and non-negative" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("mismatch", ["length", "rate"])
+@pytest.mark.parametrize(
+    ("command", "wav", "reference"),
+    [
+        ("enhance", "--oracle-clean", "noisy input"),
+        ("candidates", "clean WAV", "noisy input"),
+        ("analyze", "--noise", "--clean"),
+    ],
+)
+def test_misaligned_wav_error_names_the_actual_reference(
+    mixture_files, tmp_path, capsys, command, wav, reference, mismatch
+):
+    _, paths, tri = mixture_files
+    bad = tmp_path / "bad.wav"
+    samples = tri.noise.samples if command == "analyze" else tri.clean.samples
+    if mismatch == "length":
+        write_wav(Waveform(samples[: len(samples) // 2], 16000), bad)
+    else:
+        write_wav(Waveform(samples, 8000), bad)
+    out = tmp_path / "out"
+    argv = {
+        "enhance": ["enhance", str(paths["noisy"]), "--method", "gla", "--oracle-clean", str(bad), "--out"],
+        "candidates": ["candidates", str(paths["noisy"]), str(bad), str(paths["noise"]), "--out"],
+        "analyze": ["analyze", "--clean", str(paths["clean"]), "--noise", str(bad), "--out-dir"],
+    }[command]
+    assert main([*argv, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {wav} ")
+    assert f"{reference} has" in err if mismatch == "length" else f"does not match {reference} 16000" in err
+    assert not out.exists()

@@ -1,13 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import msgla
 from msgla.metrics import (
     SI_SNR_CAP_DB,
+    bin_weights,
     inconsistency,
     phase_cos_sim,
     phase_error_map,
     plain_snr,
     si_snr,
+    weighted_frobenius,
 )
 from msgla.spectral import StftConfig, Waveform, decompose, stft
 
@@ -106,6 +116,57 @@ def test_inconsistency_zero_spectrogram():
     cfg = StftConfig()
     shape = (9, cfg.n_bins)
     assert inconsistency(np.zeros(shape), np.zeros(shape), cfg) == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    frames=st.one_of(st.none(), st.integers(0, 6)),
+    fft_length=st.integers(2, 41),
+    content=st.sampled_from(["complex", "real", "zero", "edges"]),
+    scale_exp=st.integers(-6, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_frobenius_is_the_explicit_weighted_sum(frames, fft_length, content, scale_exp, seed):
+    # frames None is a single 1-D frame; odd and even FFT lengths differ in the Nyquist bin.
+    cfg = StftConfig(window_length=2, hop_length=1, fft_length=fft_length)
+    shape = (cfg.n_bins,) if frames is None else (frames, cfg.n_bins)
+    rng = np.random.default_rng(seed)
+    values = 10.0**scale_exp * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if content == "real":
+        values = values.real
+    elif content == "zero":
+        values = np.zeros(shape, dtype=np.complex128)
+    elif content == "edges":
+        values[..., 1 : cfg.n_bins - (fft_length % 2 == 0)] = 0.0
+    expected = np.sqrt(np.sum(bin_weights(cfg) * np.abs(values) ** 2))
+    assert weighted_frobenius(values, cfg) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 258), (256,), (257, 1), ()])
+def test_weighted_frobenius_rejects_a_wrong_bin_count(shape):
+    with pytest.raises(ValueError, match="257"):
+        weighted_frobenius(np.ones(shape), StftConfig())
+
+
+def test_weighted_frobenius_does_not_depend_on_the_blas_thread_count():
+    script = (
+        "import numpy as np\n"
+        "from msgla.metrics import weighted_frobenius\n"
+        "from msgla.spectral import StftConfig\n"
+        "rng = np.random.default_rng(9)\n"
+        "v = rng.standard_normal((626, 257)) + 1j * rng.standard_normal((626, 257))\n"
+        "print(repr(weighted_frobenius(v, StftConfig())))\n"
+    )
+    src = str(Path(msgla.__file__).resolve().parents[1])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60, check=True
+        )
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1] != ""
 
 
 def test_phase_error_map_values_and_symmetry():

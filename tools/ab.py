@@ -1,25 +1,32 @@
 #!/usr/bin/env python3
-"""Interleaved A/B timing of the default ``oracle-exp`` grid or of CLI start-up.
+"""Interleaved A/B timing of the default ``oracle-exp`` grid, the ``long_clip`` op or CLI start-up.
 
 The benchmark runs two checkouts in separate processes, one after the other;
 on a host whose speed drifts over minutes it cannot resolve a gain of 5-15%.
 This tool alternates the same op between two versions of msgla, so that
 drift hits both alike.
 
-    python tools/ab.py [--base REV] [--rounds 12] [--warmup 2] [--seed 7] [--cli]
+    python tools/ab.py [--base REV] [--rounds 12] [--warmup 2] [--seed 7] [--long-clip | --cli]
 
 ``--base`` (default ``HEAD``) is read with ``git archive`` into a temporary
 directory; the other arm is the working tree's ``src/msgla``. A third arm, a
 second copy of the base, is the A/A control. Every round runs one op of each
 kind on each arm, in an order that rotates from round to round.
 
-Without ``--cli`` the op is one default-grid ``run_experiment`` call, and
-each arm is imported into this process under its own package name, which
-works because the package imports its own modules only relatively. With
-``--cli`` the ops are fresh ``python -m msgla`` processes, as in the
-benchmark's ``cli_cold`` workload: ``enhance --method nm`` on a 1 s WAV
-triple written once, and a one-mixture ``oracle-exp``. Each child runs with
-``PYTHONPATH`` set to its arm's ``src`` directory.
+By default the op is one default-grid ``run_experiment`` call, and each
+arm is imported into this process under its own package name, which works
+because the package imports its own modules only relatively. With
+``--long-clip`` the op is the benchmark's own ``long_clip`` op: the tool
+imports ``benchmarks/workloads.py`` (read-only, no bytecode written there)
+and calls ``LongClip.setup`` and ``LongClip.op`` with each arm's modules as
+the namespace that ``workloads.import_msgla`` would build. Each arm sets up
+its own 4 clips of 10 s from ``--seed`` and runs them in turn, so that every
+arm runs the same clip in a round. In-process ops run with the BLAS/OpenMP
+pools pinned to one thread, as in the benchmark. With ``--cli`` the ops are
+fresh ``python -m msgla`` processes, as in the benchmark's ``cli_cold``
+workload: ``enhance --method nm`` on a 1 s WAV triple written once, and a
+one-mixture ``oracle-exp``. Each child runs with ``PYTHONPATH`` set to its
+arm's ``src`` directory.
 
 For each arm and op kind the tool prints the median op time and the median
 count of minor page faults per op (``getrusage``; of the child with
@@ -31,8 +38,10 @@ The tool reports only; it changes no gate.
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import io
+import itertools
 import os
 import resource
 import statistics
@@ -42,8 +51,10 @@ import tarfile
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -79,13 +90,38 @@ def grid_op(package, seed: int):
     return lambda: h.run_experiment(spec)
 
 
+def load_workloads():
+    """``benchmarks/workloads.py`` as a module, imported without writing bytecode beside it."""
+    spec = importlib.util.spec_from_file_location("msgla_ab_workloads", ROOT / "benchmarks" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def long_clip_op(package, seed: int, workloads, workdir: Path):
+    """The benchmark's ``long_clip`` op on ``package``, cycling over the clips it sets up."""
+    modules = ("spectral", "geometry", "reconstruct", "metrics", "harness", "audio_io", "cli")
+    m = SimpleNamespace(
+        msgla=package, **{name: importlib.import_module(f"{package.__name__}.{name}") for name in modules}
+    )
+    clip = workloads.LongClip()
+    inputs = itertools.cycle(clip.setup(m, seed, False, workdir))
+    return lambda: clip.op(m, next(inputs), True)
+
+
 def cli_ops(src: Path, work: Path, out: Path, seed: int) -> dict:
     """``enhance`` and ``oracle-exp`` ops that each start ``python -m msgla`` from ``src``.
 
     They read the WAV triple in ``work`` and write under ``out``.
     """
     env = dict(os.environ, PYTHONPATH=str(src))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for var in THREAD_VARS:
         env[var] = "1"
     argvs = {
         "enhance": [
@@ -130,8 +166,13 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=12, help="measured rounds, one op per arm and kind each")
     parser.add_argument("--warmup", type=int, default=2, help="unmeasured ops per arm and kind first")
     parser.add_argument("--seed", type=int, default=7, help="grid or mixture seed, as in benchmarks/run.py")
-    parser.add_argument("--cli", action="store_true", help="time fresh python -m msgla processes")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--long-clip", action="store_true", help="time the benchmark's long_clip op")
+    mode.add_argument("--cli", action="store_true", help="time fresh python -m msgla processes")
     args = parser.parse_args(argv)
+    # As in the benchmark, before any arm imports numpy.
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
 
     names = ("base", "head", "control")
     with tempfile.TemporaryDirectory(prefix="msgla-ab-") as tmp:
@@ -149,8 +190,12 @@ def main(argv=None) -> int:
             ops = {kind: [arm[kind] for arm in arms] for kind in arms[0]}
         else:
             who = resource.RUSAGE_SELF
-            dirs = (base_dir, head_dir, base_dir)
-            ops = {"grid": [grid_op(load(f"msgla_ab_{n}", d), args.seed) for n, d in zip(names, dirs)]}
+            packages = [load(f"msgla_ab_{n}", d) for n, d in zip(names, (base_dir, head_dir, base_dir))]
+            if args.long_clip:
+                workloads = load_workloads()
+                ops = {"long_clip": [long_clip_op(p, args.seed, workloads, tmp) for p in packages]}
+            else:
+                ops = {"grid": [grid_op(p, args.seed) for p in packages]}
         for _ in range(args.warmup):
             for kind_ops in ops.values():
                 for op in kind_ops:
@@ -162,7 +207,11 @@ def main(argv=None) -> int:
                     arm = (r + k) % len(names)
                     results[kind][arm].append(timed(kind_ops[arm], who))
 
-    what = "fresh python -m msgla processes" if args.cli else "default grid"
+    what = (
+        "fresh python -m msgla processes" if args.cli
+        else "the benchmark's long_clip op" if args.long_clip
+        else "default grid"
+    )
     print(
         f"{what}, seed {args.seed}: base {args.base} against the working tree, "
         f"{args.rounds} rounds after {args.warmup} warm-up ops per arm and kind"
