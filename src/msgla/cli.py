@@ -1,18 +1,23 @@
 """Command-line entry point: enhancement, oracle experiments, candidate audit, error maps.
 
 Exit codes: 0 on success, 1 on runtime errors (I/O, numerical), 2 on usage
-errors (bad flags, missing estimates, mismatched inputs). Every command
-echoes its fully resolved configuration into the JSON it writes, so runs are
-reproducible from their artifacts alone. Set ``MSGLA_LOG`` to a level name
-(e.g. ``info``) for progress logging.
+errors (bad flags or config values, missing estimates, mismatched inputs).
+Bad flag and config values are rejected before any WAV is read or any file
+is written. argparse is the only parser: each default is declared once, in
+``add_argument``, and a ``--config`` file is parsed as the flags it spells
+out (``_ConfigFile``). Every command echoes its fully resolved configuration
+into the JSON it writes, so runs are reproducible from their artifacts
+alone. Set ``MSGLA_LOG`` to a level name (e.g. ``info``) for progress logging.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +26,12 @@ import numpy as np
 
 from . import __version__
 from .audio_io import RunArtifact, fingerprint, format_number, persist_run, read_wav, write_wav
-from .geometry import cosine_phase_candidates, nearest_candidate_distance, sine_phase_candidates
+from .geometry import (
+    DEFAULT_FLOOR,
+    cosine_phase_candidates,
+    nearest_candidate_distance,
+    sine_phase_candidates,
+)
 from .harness import (
     METHOD_NEEDS,
     EstimateProvider,
@@ -35,7 +45,7 @@ from .harness import (
     run_experiment,
 )
 from .metrics import phase_cos_sim, phase_error_map, plain_snr, si_snr
-from .reconstruct import METHODS, ReconConfig, enhance
+from .reconstruct import INIT_KINDS, METHODS, ReconConfig, enhance
 from .spectral import StftConfig, Waveform, angular_distance, decompose, stft
 
 log = logging.getLogger(__name__)
@@ -45,54 +55,60 @@ class UsageError(Exception):
     """Bad flags or unusable inputs; maps to exit code 2."""
 
 
-_STFT_DEFAULTS = {
-    "window": 512,
-    "hop": 256,
-    "fft": None,
-}
+def _checked(cast, ok, need: str):
+    """An argparse ``type=``: ``cast`` the text, then reject values for which ``ok`` is false."""
 
-ENHANCE_DEFAULTS = {
-    **_STFT_DEFAULTS,
-    "method": "nm",
-    "oracle_clean": None,
-    "oracle_noise": None,
-    "perturb_std": 0.0,
-    "perturb_seed": 0,
-    "iters": 5,
-    "init": "noisy",
-    "seed": 0,
-    "encoding": "float32",
-    "metrics_out": None,
-}
+    def convert(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
 
-ORACLE_EXP_DEFAULTS = {
-    **_STFT_DEFAULTS,
-    "methods": ["nm", "np"],
-    "snr_grid": [-6.0, 0.0, 6.0],
-    "seeds": [0, 1, 2, 3, 4],
-    "noise_std": 0.3,
-    "provider_seed": 0,
-    "kind": "harmonic",
-    "duration": 0.5,
-    "sample_rate": 16000,
-    "iters": 5,
-    "init": "noisy",
-    "jobs": os.cpu_count() or 1,
-}
+    convert.__name__ = cast.__name__  # argparse's "invalid int value" names the cast
+    return convert
 
-CANDIDATES_DEFAULTS = {
-    **_STFT_DEFAULTS,
-    "law": "cos",
-    "floor": 1e-12,
-}
 
-ANALYZE_DEFAULTS = {
-    **_STFT_DEFAULTS,
-    "noise_std": 0.3,
-    "seed": 0,
-    "scale_by_energy": False,
-    "snr_db": None,
-}
+_pos_int = _checked(int, lambda v: v > 0, "a positive integer")
+_nonneg_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_pos_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
+_nonneg_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
+
+
+class _ConfigFile(argparse.Action):
+    """``--config FILE``: store the flag tokens that the file's JSON object stands for.
+
+    Keys are the command's optional flags, long name with dashes as
+    underscores; positionals, required flags and ``--config`` itself are not
+    keys. ``true`` sets a switch, ``null`` and ``false`` keep the default, a
+    list becomes ``--flag v1 v2 ...`` and any other value ``--flag=value``.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            spec = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise argparse.ArgumentError(self, f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(spec, dict):
+            raise argparse.ArgumentError(
+                self, f"config file {path} must hold a JSON object, got {type(spec).__name__}"
+            )
+        flags = {
+            a.dest: a.option_strings[-1]
+            for a in parser._actions
+            if a.option_strings and not a.required and a.dest not in ("help", self.dest)
+        }
+        unknown = sorted(set(spec) - set(flags))
+        if unknown:
+            raise argparse.ArgumentError(self, f"unknown config file keys: {unknown}")
+        tokens = []
+        for key, value in spec.items():
+            if value is True:
+                tokens.append(flags[key])
+            elif isinstance(value, list):
+                tokens += [flags[key], *map(str, value)]
+            elif value is not None and value is not False:
+                tokens.append(f"{flags[key]}={value}")
+        setattr(namespace, self.dest, tokens)
 
 
 def _setup_logging() -> None:
@@ -101,29 +117,10 @@ def _setup_logging() -> None:
 
 
 def _stft_config(cfg: dict) -> StftConfig:
-    return StftConfig(
-        window_length=int(cfg["window"]),
-        hop_length=int(cfg["hop"]),
-        fft_length=None if cfg["fft"] is None else int(cfg["fft"]),
-    )
-
-
-def _merge_config(defaults: dict, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    explicit = {k: v for k, v in vars(args).items() if k != "func"}
-    merged = dict(defaults)
-    config_path = explicit.pop("config", None)
-    if config_path is not None:
-        try:
-            file_cfg = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {config_path} is not valid JSON: {exc}") from exc
-        unknown = sorted(set(file_cfg) - set(defaults))
-        if unknown:
-            raise UsageError(f"unknown config file keys: {unknown}")
-        merged.update(file_cfg)
-    merged.update(explicit)
-    return merged
+    try:
+        return StftConfig(window_length=cfg["window"], hop_length=cfg["hop"], fft_length=cfg["fft"])
+    except ValueError as exc:
+        raise UsageError(f"--window/--hop/--fft: {exc}") from exc
 
 
 def _read_aligned(path, reference, what: str, reference_name: str):
@@ -149,38 +146,30 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
 
 
-def cmd_enhance(cfg: dict) -> int:
+def cmd_enhance(cfg: dict, stft_cfg: StftConfig) -> int:
     method = cfg["method"]
-    if method not in METHODS:
-        raise UsageError(f"unknown method {cfg['method']!r}; choose from {METHODS}")
     for quantity in METHOD_NEEDS[method]:
         source = "clean" if quantity == "mag_speech" else "noise"
         if cfg[f"oracle_{source}"] is None:
             raise UsageError(f"method '{method}' requires --oracle-{source} ({source} reference WAV)")
     # The grid's perturbed oracle, for both halves of the pair, on a mixture of seed 0.
-    try:
-        provider = EstimateProvider("perturbed_oracle", float(cfg["perturb_std"]), int(cfg["perturb_seed"]))
-    except ValueError as exc:
-        raise UsageError(f"--perturb-std: {exc}") from exc
+    provider = EstimateProvider("perturbed_oracle", cfg["perturb_std"], cfg["perturb_seed"])
     noisy = read_wav(cfg["noisy"])
     clean = _read_aligned(cfg["oracle_clean"], noisy, "--oracle-clean", "noisy input")
     noise = _read_aligned(cfg["oracle_noise"], noisy, "--oracle-noise", "noisy input")
-    noisy_spec, spectra = _spectra(noisy, clean, noise, _stft_config(cfg))
+    noisy_spec, spectra = _spectra(noisy, clean, noise, stft_cfg)
     estimates = _estimates(method, spectra, (provider, provider), 0)
     phase_speech = spectra.get("phase_speech")
 
-    recon_cfg = ReconConfig(
-        iterations=int(cfg["iters"]), init=cfg["init"], seed=int(cfg["seed"]), trace=True
-    )
+    recon_cfg = ReconConfig(iterations=cfg["iters"], init=cfg["init"], seed=cfg["seed"], trace=True)
     wave, report = enhance(noisy_spec, method, estimates, recon_cfg, ref_phase=phase_speech)
     out_path = Path(cfg["out"])
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_wav(wave, out_path, cfg["encoding"])
 
-    resolved = {k: v for k, v in cfg.items()}
     summary: dict = {
         "version": __version__,
-        "config": resolved,
+        "config": cfg,
         "method": method,
         "output": str(out_path),
         "metrics": {"inconsistency": report.final_inconsistency},
@@ -213,70 +202,30 @@ def cmd_enhance(cfg: dict) -> int:
     return 0
 
 
-def cmd_oracle_exp(cfg: dict) -> int:
-    for method in cfg["methods"]:
-        if method not in METHODS:
-            raise UsageError(f"unknown method {method!r}; choose from {METHODS}")
-    try:
-        pairs = default_provider_pairs(float(cfg["noise_std"]), int(cfg["provider_seed"]))
-    except ValueError as exc:
-        raise UsageError(f"--noise-std: {exc}") from exc
-    stft_cfg = _stft_config(cfg)
-    recon_cfg = ReconConfig(iterations=int(cfg["iters"]), init=cfg["init"], trace=False)
-    seeds = [int(s) for s in cfg["seeds"]]
+def cmd_oracle_exp(cfg: dict, stft_cfg: StftConfig) -> int:
     mixtures = [
-        MixtureSpec(
-            kind=cfg["kind"],
-            snr_db=float(snr),
-            duration_s=float(cfg["duration"]),
-            sample_rate=int(cfg["sample_rate"]),
-            seed=seed,
-        )
+        MixtureSpec(cfg["kind"], snr, cfg["duration"], cfg["sample_rate"], seed)
         for snr in cfg["snr_grid"]
-        for seed in seeds
+        for seed in cfg["seeds"]
     ]
     spec = ExperimentSpec(
         mixtures=mixtures,
-        methods=list(cfg["methods"]),
-        provider_pairs=pairs,
+        methods=cfg["methods"],
+        provider_pairs=default_provider_pairs(cfg["noise_std"], cfg["provider_seed"]),
         stft_cfg=stft_cfg,
-        recon_cfg=recon_cfg,
+        recon_cfg=ReconConfig(iterations=cfg["iters"], init=cfg["init"], trace=False),
     )
     # performance knobs (jobs) and output location stay out of the fingerprint
-    science = {
-        k: cfg[k]
-        for k in (
-            "methods",
-            "snr_grid",
-            "seeds",
-            "noise_std",
-            "provider_seed",
-            "kind",
-            "duration",
-            "sample_rate",
-            "iters",
-            "init",
-            "window",
-            "hop",
-            "fft",
-        )
-    }
+    science = {k: v for k, v in cfg.items() if k not in ("command", "jobs", "out_dir")}
     science["phase_cos_sim_weighting"] = "unweighted"
-    table = run_experiment(spec, jobs=int(cfg["jobs"]), fingerprint=fingerprint(science))
-    artifact = RunArtifact(
-        columns=table.columns,
-        rows=table.rows,
-        config=science,
-        seeds=seeds,
-        version=__version__,
-    )
+    table = run_experiment(spec, jobs=cfg["jobs"], fingerprint=fingerprint(science))
+    artifact = RunArtifact(table.columns, table.rows, config=science, seeds=cfg["seeds"], version=__version__)
     manifest = persist_run(artifact, cfg["out_dir"])
     print(f"wrote {manifest.parent / 'results.csv'} ({len(table.rows)} rows)")
     return 0
 
 
-def cmd_candidates(cfg: dict) -> int:
-    stft_cfg = _stft_config(cfg)
+def cmd_candidates(cfg: dict, stft_cfg: StftConfig) -> int:
     noisy = read_wav(cfg["noisy"])
     clean = _read_aligned(cfg["clean"], noisy, "clean WAV", "noisy input")
     noise = _read_aligned(cfg["noise"], noisy, "noise WAV", "noisy input")
@@ -285,7 +234,7 @@ def cmd_candidates(cfg: dict) -> int:
     mag_speech, phase_speech = spectra["mag_speech"], spectra["phase_speech"]
     mag_noise, phase_noise = spectra["mag_noise"], spectra["phase_noise"]
 
-    floor = float(cfg["floor"])
+    floor = cfg["floor"]
     if cfg["law"] == "cos":
         cand = cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise, floor)
         extra = {"abs_delta": cand.abs_delta}
@@ -319,7 +268,7 @@ def cmd_candidates(cfg: dict) -> int:
         strong = strong & (mag_speech > 1e-2 * mag_speech.max()) & (mag_mix > 1e-2 * mag_mix.max())
     summary = {
         "version": __version__,
-        "config": {k: v for k, v in cfg.items()},
+        "config": cfg,
         "bins": int(error.size),
         "valid_bins": int(cand.validity_mask.sum()),
         "audited_bins": int(strong.sum()),
@@ -341,11 +290,8 @@ def _write_grid(path: Path, grid: np.ndarray) -> None:
             writer.writerow([format_number(float(v)) for v in row])
 
 
-def cmd_analyze(cfg: dict) -> int:
-    std = float(cfg["noise_std"])
-    if not np.isfinite(std) or std < 0:
-        raise UsageError(f"--noise-std: must be finite and non-negative, got {std!r}")
-    stft_cfg = _stft_config(cfg)
+def cmd_analyze(cfg: dict, stft_cfg: StftConfig) -> int:
+    std = cfg["noise_std"]
     clean = read_wav(cfg["clean"])
     if not clean.samples.any():
         raise UsageError(f"--clean WAV {cfg['clean']} is silent; its energy split is undefined")
@@ -353,7 +299,7 @@ def cmd_analyze(cfg: dict) -> int:
     noise_samples = noise.samples
     if cfg["snr_db"] is not None:
         try:
-            noise_samples = _scale_noise(clean.samples, noise_samples, float(cfg["snr_db"]))
+            noise_samples = _scale_noise(clean.samples, noise_samples, cfg["snr_db"])
         except ValueError as exc:
             raise UsageError(f"--noise WAV {cfg['noise']}: {exc}") from exc
 
@@ -369,8 +315,8 @@ def cmd_analyze(cfg: dict) -> int:
     else:
         sigma_speech = np.full_like(mag_speech, std)
         sigma_noise = np.full_like(mag_speech, std)
-    rng_speech = np.random.default_rng([int(cfg["seed"]), 0])
-    rng_noise = np.random.default_rng([int(cfg["seed"]), 1])
+    rng_speech = np.random.default_rng([cfg["seed"], 0])
+    rng_noise = np.random.default_rng([cfg["seed"], 1])
     est_speech = perturb_phase(phase_speech, sigma_speech, rng_speech)
     est_noise = perturb_phase(phase_noise, sigma_noise, rng_noise)
 
@@ -384,7 +330,7 @@ def cmd_analyze(cfg: dict) -> int:
     _write_grid(out_dir / "noise_phase_error.csv", noise_map)
     summary = {
         "version": __version__,
-        "config": {k: v for k, v in cfg.items()},
+        "config": cfg,
         "speech_phase": {
             "mean_error_high_energy": float(speech_map[high].mean()),
             "mean_error_low_energy": float(speech_map[~high].mean()),
@@ -399,11 +345,25 @@ def cmd_analyze(cfg: dict) -> int:
     return 0
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Show the default, through ``%(default)s``, of every flag that takes a value and has one."""
+
+    def _get_help_string(self, action):
+        if action.option_strings and action.nargs != 0 and action.default is not None:
+            return f"{action.help} (default %(default)s)"
+        return action.help
+
+
 def _add_stft_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", type=int, help="analysis window length in samples (default 512)")
-    parser.add_argument("--hop", type=int, help="hop size in samples (default 256)")
-    parser.add_argument("--fft", type=int, help="FFT length (default: window length)")
-    parser.add_argument("--config", help="JSON file of flag defaults (flags still win)")
+    parser.add_argument("--window", type=_pos_int, default=512, help="analysis window length in samples")
+    parser.add_argument("--hop", type=_pos_int, default=256, help="hop size in samples")
+    parser.add_argument("--fft", type=_pos_int, help="FFT length (default: the window length)")
+    parser.add_argument("--config", action=_ConfigFile, help="JSON file of flag values (explicit flags win)")
+
+
+def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--iters", type=_nonneg_int, default=5, help="phase update iterations")
+    parser.add_argument("--init", choices=INIT_KINDS, default="noisy", help="initial phase")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,103 +373,89 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"msgla {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    enh = sub.add_parser(
-        "enhance",
-        help="reconstruct a speech phase for one noisy WAV",
-        argument_default=argparse.SUPPRESS,
-    )
+    enh = command("enhance", help="reconstruct a speech phase for one noisy WAV")
     enh.add_argument("noisy", help="noisy input WAV (mono PCM16/float32)")
-    enh.add_argument("--method", choices=METHODS, help="reconstruction method (default nm)")
+    enh.add_argument("--method", choices=METHODS, default="nm", help="reconstruction method")
     enh.add_argument("--out", required=True, help="enhanced output WAV path")
-    enh.add_argument("--oracle-clean", dest="oracle_clean", help="clean reference WAV")
-    enh.add_argument("--oracle-noise", dest="oracle_noise", help="noise reference WAV")
+    enh.add_argument("--oracle-clean", help="clean reference WAV")
+    enh.add_argument("--oracle-noise", help="noise reference WAV")
     enh.add_argument(
         "--perturb-std",
-        dest="perturb_std",
-        type=float,
-        help="degrade oracle estimates with this perturbation scale (default 0)",
+        type=_nonneg_float,
+        default=0.0,
+        help="degrade oracle estimates with this perturbation scale",
     )
-    enh.add_argument("--perturb-seed", dest="perturb_seed", type=int, help="perturbation seed")
-    enh.add_argument("--iters", type=int, help="phase update iterations (default 5)")
-    enh.add_argument("--init", choices=("noisy", "zero", "random"), help="initial phase (default noisy)")
-    enh.add_argument("--seed", type=int, help="seed for random initialization")
-    enh.add_argument("--encoding", choices=("float32", "pcm16"), help="output encoding")
-    enh.add_argument("--metrics-out", dest="metrics_out", help="metrics JSON path")
+    enh.add_argument("--perturb-seed", type=_nonneg_int, default=0, help="perturbation seed")
+    _add_loop_flags(enh)
+    enh.add_argument("--seed", type=_nonneg_int, default=0, help="seed for random initialization")
+    enh.add_argument("--encoding", choices=("float32", "pcm16"), default="float32", help="output encoding")
+    enh.add_argument("--metrics-out", help="metrics JSON path (default: next to --out)")
     _add_stft_flags(enh)
-    enh.set_defaults(func=lambda a: cmd_enhance(_merge_config(ENHANCE_DEFAULTS, a)))
+    enh.set_defaults(func=cmd_enhance)
 
-    exp = sub.add_parser(
-        "oracle-exp",
-        help="run the oracle/perturbed provider matrix on synthetic mixtures",
-        argument_default=argparse.SUPPRESS,
-    )
-    exp.add_argument("--out-dir", dest="out_dir", required=True, help="output directory")
-    exp.add_argument("--methods", nargs="+", help="methods to evaluate (default: nm np)")
+    exp = command("oracle-exp", help="run the oracle/perturbed provider matrix on synthetic mixtures")
+    exp.add_argument("--out-dir", required=True, help="output directory")
+    exp.add_argument("--methods", nargs="+", choices=METHODS, default=["nm", "np"], help="methods to run")
+    exp.add_argument("--snr-grid", nargs="+", type=float, default=[-6.0, 0.0, 6.0], help="mixture SNRs in dB")
+    exp.add_argument("--seeds", nargs="+", type=_nonneg_int, default=[0, 1, 2, 3, 4], help="mixture seeds")
+    exp.add_argument("--noise-std", type=_nonneg_float, default=0.3, help="perturbed-oracle scale")
+    exp.add_argument("--provider-seed", type=_nonneg_int, default=0, help="perturbation seed")
+    exp.add_argument("--kind", choices=("harmonic", "speech_shaped"), default="harmonic", help="mixture kind")
+    exp.add_argument("--duration", type=_pos_float, default=0.5, help="mixture duration in seconds")
+    exp.add_argument("--sample-rate", type=_pos_int, default=16000, help="sample rate")
+    _add_loop_flags(exp)
     exp.add_argument(
-        "--snr-grid", dest="snr_grid", nargs="+", type=float, help="mixture SNRs in dB (default -6 0 6)"
+        "--jobs",
+        type=_pos_int,
+        default=os.cpu_count() or 1,
+        help="mixtures run in parallel threads, the logical core count by default",
     )
-    exp.add_argument("--seeds", nargs="+", type=int, help="mixture seeds (default 0..4)")
-    exp.add_argument(
-        "--noise-std", dest="noise_std", type=float, help="perturbed-oracle scale (default 0.3)"
-    )
-    exp.add_argument("--provider-seed", dest="provider_seed", type=int, help="perturbation seed")
-    exp.add_argument("--kind", choices=("harmonic", "speech_shaped"), help="mixture kind")
-    exp.add_argument("--duration", type=float, help="mixture duration in seconds (default 0.5)")
-    exp.add_argument("--sample-rate", dest="sample_rate", type=int, help="sample rate (default 16000)")
-    exp.add_argument("--iters", type=int, help="phase update iterations (default 5)")
-    exp.add_argument("--init", choices=("noisy", "zero", "random"), help="initial phase")
-    exp.add_argument("--jobs", type=int, help="mixtures run in parallel threads (default: logical cores)")
     _add_stft_flags(exp)
-    exp.set_defaults(func=lambda a: cmd_oracle_exp(_merge_config(ORACLE_EXP_DEFAULTS, a)))
+    exp.set_defaults(func=cmd_oracle_exp)
 
-    cand = sub.add_parser(
-        "candidates",
-        help="audit per-bin geometric phase candidates against the true phase",
-        argument_default=argparse.SUPPRESS,
-    )
+    cand = command("candidates", help="audit per-bin geometric phase candidates against the true phase")
     cand.add_argument("noisy", help="noisy WAV")
     cand.add_argument("clean", help="aligned clean WAV")
     cand.add_argument("noise", help="aligned noise WAV")
-    cand.add_argument("--law", choices=("cos", "sin"), help="candidate construction (default cos)")
-    cand.add_argument("--floor", type=float, help="magnitude floor (default 1e-12)")
+    cand.add_argument("--law", choices=("cos", "sin"), default="cos", help="candidate construction")
+    cand.add_argument("--floor", type=float, default=DEFAULT_FLOOR, help="magnitude floor")
     cand.add_argument("--out", required=True, help="per-bin CSV output path")
     _add_stft_flags(cand)
-    cand.set_defaults(func=lambda a: cmd_candidates(_merge_config(CANDIDATES_DEFAULTS, a)))
+    cand.set_defaults(func=cmd_candidates)
 
-    ana = sub.add_parser(
-        "analyze",
-        help="write speech/noise phase-error maps and an energy-split summary",
-        argument_default=argparse.SUPPRESS,
-    )
+    ana = command("analyze", help="write speech/noise phase-error maps and an energy-split summary")
     ana.add_argument("--clean", required=True, help="clean WAV")
     ana.add_argument("--noise", required=True, help="aligned noise WAV")
-    ana.add_argument("--out-dir", dest="out_dir", required=True, help="output directory")
-    ana.add_argument(
-        "--noise-std", dest="noise_std", type=float, help="phase perturbation scale (default 0.3)"
-    )
-    ana.add_argument("--seed", type=int, help="perturbation seed")
+    ana.add_argument("--out-dir", required=True, help="output directory")
+    ana.add_argument("--noise-std", type=_nonneg_float, default=0.3, help="phase perturbation scale")
+    ana.add_argument("--seed", type=_nonneg_int, default=0, help="perturbation seed")
     ana.add_argument(
         "--scale-by-energy",
-        dest="scale_by_energy",
         action="store_true",
         help="scale perturbations by speech energy (complementary error pattern)",
     )
-    ana.add_argument("--snr-db", dest="snr_db", type=float, help="rescale noise to this SNR first")
+    ana.add_argument("--snr-db", type=float, help="rescale noise to this SNR first")
     _add_stft_flags(ana)
-    ana.set_defaults(func=lambda a: cmd_analyze(_merge_config(ANALYZE_DEFAULTS, a)))
+    ana.set_defaults(func=cmd_analyze)
     return parser
 
 
 def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags go right after the command, so explicit flags win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *args.config, *argv[at:]])
+        cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+        return args.func(cfg, _stft_config(cfg))
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -267,7 +267,7 @@ def provide_estimates(
     provider: EstimateProvider,
     triple: MixtureTriple,
     stft_cfg: StftConfig,
-    scope: tuple[str, ...] = ("mag_speech", "mag_noise", "phase_noise"),
+    scope: tuple[str, ...] | None = None,
 ) -> Estimates:
     """Supply the quantities in ``scope`` from the given provider.
 
@@ -276,7 +276,11 @@ def provide_estimates(
     log-normal perturbation to magnitudes and an additive wrapped Gaussian to
     phases; ``noisy_baseline`` supplies the noisy magnitude as the speech
     magnitude and zero as the noise magnitude (it has no noise phase).
+    The default scope is everything the provider can supply; asking the
+    baseline for ``phase_noise`` raises ``ValueError``.
     """
+    if scope is None:
+        scope = ("mag_speech", "mag_noise") if provider.kind == "noisy_baseline" else tuple(_QUANTITY_TAGS)
     unknown = [q for q in scope if q not in _QUANTITY_TAGS]
     if unknown:
         raise ValueError(f"unknown estimate quantities {unknown}")

@@ -266,6 +266,8 @@ def gla(
         raise ValueError(
             f"mag_speech shape {mag.shape} does not fit config bins {stft_cfg.n_bins}"
         )
+    if noisy_phase is not None:
+        noisy_phase = _estimate("noisy_phase", noisy_phase, mag.shape, nonnegative=False)
     length = origin_length if origin_length is not None else canonical_length(mag.shape[0], stft_cfg)
     phase = _initial_phase(cfg, mag.shape, noisy_phase)
     return _run("gla", mag, phase, _phasor, cfg, stft_cfg, length, ref_phase, candidates)

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
@@ -443,15 +444,15 @@ def test_console_entry_point_runs():
     assert "msgla" in proc.stdout
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["enhance", "noisy.wav", "--out", "out.wav"],
-        ["oracle-exp", "--out-dir", "results"],
-        ["candidates", "noisy.wav", "clean.wav", "noise.wav", "--out", "cand.csv"],
-        ["analyze", "--clean", "clean.wav", "--noise", "noise.wav", "--out-dir", "maps"],
-    ],
-)
+MINIMAL_ARGVS = [
+    ["enhance", "noisy.wav", "--out", "out.wav"],
+    ["oracle-exp", "--out-dir", "results"],
+    ["candidates", "noisy.wav", "clean.wav", "noise.wav", "--out", "cand.csv"],
+    ["analyze", "--clean", "clean.wav", "--noise", "noise.wav", "--out-dir", "maps"],
+]
+
+
+@pytest.mark.parametrize("argv", MINIMAL_ARGVS)
 def test_no_center_flag_is_a_usage_error(argv, capsys):
     # Uncentered periodic Hann has w[0] = 0, so no uncentered run could succeed.
     assert main([*argv, "--no-center"]) == 2
@@ -630,3 +631,126 @@ def test_misaligned_wav_error_names_the_actual_reference(
     assert err.startswith(f"error: {wav} ")
     assert f"{reference} has" in err if mismatch == "length" else f"does not match {reference} 16000" in err
     assert not out.exists()
+
+
+def _snapshot(folder):
+    return {str(p.relative_to(folder)): p.read_bytes() for p in sorted(folder.rglob("*")) if p.is_file()}
+
+
+def _run_twice(argv, out, config_path, config, flags):
+    """Output bytes of ``argv`` with ``flags``, then with ``config`` as a config file instead."""
+    main([*argv, *flags])
+    from_flags = _snapshot(out)
+    shutil.rmtree(out)
+    config_path.write_text(json.dumps(config))
+    assert main([*argv, "--config", str(config_path)]) == 0
+    return from_flags, _snapshot(out)
+
+
+def test_config_file_and_flags_give_identical_bytes(tmp_path):
+    # JSON ints for float flags are parsed as the flags' text is, so the fingerprint matches too;
+    # the worker count stays out of it
+    out = tmp_path / "exp"
+    config = {"snr_grid": [0], "duration": 1, "noise_std": 0, "seeds": [1], "methods": ["nm"], "jobs": 2}
+    flags = ["--snr-grid", "0", "--duration", "1", "--noise-std", "0", "--seeds", "1", "--methods", "nm"]
+    argv = ["oracle-exp", "--out-dir", str(out)]
+    from_flags, from_config = _run_twice(argv, out, tmp_path / "cfg.json", config, [*flags, "--jobs", "1"])
+    assert sorted(from_flags) == ["manifest.json", "results.csv", "results.json"]
+    assert from_config == from_flags
+
+
+@pytest.mark.parametrize(
+    ("command", "config", "flags"),
+    [
+        ("analyze", {"scale_by_energy": True, "seed": None}, ["--scale-by-energy"]),
+        ("analyze", {"scale_by_energy": False, "noise_std": 1}, ["--noise-std", "1"]),
+        ("candidates", {"fft": None, "law": "sin"}, ["--law", "sin"]),
+        (
+            "oracle-exp",
+            {"seeds": 3, "methods": "nm", "snr_grid": 0},
+            ["--seeds", "3", "--methods", "nm", "--snr-grid", "0"],
+        ),
+    ],
+)
+def test_config_value_shapes_behave_like_flags(mixture_files, command, config, flags):
+    tmp_path, paths, _ = mixture_files
+    out = tmp_path / "out"
+    argv = {
+        "analyze": ["analyze", "--clean", str(paths["clean"]), "--noise", str(paths["noise"]), "--out-dir", str(out)],
+        "candidates": ["candidates", str(paths["noisy"]), str(paths["clean"]), str(paths["noise"])],
+        "oracle-exp": ["oracle-exp", "--out-dir", str(out), "--jobs", "1"],
+    }[command]
+    if command == "candidates":
+        argv += ["--out", str(out / "cand.csv")]
+    from_flags, from_config = _run_twice(argv, out, tmp_path / "cfg.json", config, flags)
+    assert from_flags and from_config == from_flags
+
+
+def _refuse_io(*args, **kwargs):
+    raise AssertionError("input was read or work started before the flags were checked")
+
+
+@pytest.mark.parametrize(
+    ("command", "config", "flags", "name"),
+    [
+        ("oracle-exp", {"window": 512.7}, [], "--window"),
+        ("oracle-exp", {"iters": "x"}, [], "--iters"),
+        ("oracle-exp", {"init": "bogus"}, [], "--init"),
+        ("oracle-exp", {"kind": "wav_pair"}, [], "--kind"),
+        ("oracle-exp", {"methods": ["nm", "bogus"]}, [], "--methods"),
+        ("oracle-exp", [1, 2], [], "--config"),
+        ("oracle-exp", {"out_dir": "elsewhere"}, [], "out_dir"),
+        ("enhance", {"encoding": "pcm24"}, [], "--encoding"),
+        ("enhance", {"scale_by_energy": True}, [], "scale_by_energy"),
+        ("analyze", {"scale_by_energy": "yes"}, [], "--scale-by-energy"),
+        ("oracle-exp", None, ["--iters", "-1"], "--iters"),
+        ("oracle-exp", None, ["--window", "0"], "--window"),
+        ("oracle-exp", None, ["--hop", "1024"], "--hop"),
+        ("oracle-exp", None, ["--fft", "100"], "--fft"),
+        ("oracle-exp", None, ["--duration", "0"], "--duration"),
+        ("oracle-exp", None, ["--sample-rate", "0"], "--sample-rate"),
+        ("oracle-exp", None, ["--seeds", "0", "-1"], "--seeds"),
+        ("oracle-exp", None, ["--provider-seed", "-1"], "--provider-seed"),
+        ("oracle-exp", None, ["--jobs", "0"], "--jobs"),
+        ("oracle-exp", None, ["--jobs", "-2"], "--jobs"),
+        ("enhance", None, ["--init", "random", "--seed", "-1"], "--seed"),
+        ("enhance", None, ["--perturb-seed", "-1"], "--perturb-seed"),
+        ("enhance", None, ["--hop", "1024"], "--hop"),
+        ("candidates", None, ["--fft", "100"], "--fft"),
+        ("analyze", None, ["--seed", "-1"], "--seed"),
+    ],
+)
+def test_bad_values_are_usage_errors_before_any_work(
+    mixture_files, monkeypatch, capsys, command, config, flags, name
+):
+    tmp_path, paths, _ = mixture_files
+    out = tmp_path / "out"
+    argv = {
+        "enhance": ["enhance", str(paths["noisy"]), "--method", "gla", "--oracle-clean", str(paths["clean"])],
+        "oracle-exp": ["oracle-exp", "--out-dir", str(out)],
+        "candidates": ["candidates", str(paths["noisy"]), str(paths["clean"]), str(paths["noise"])],
+        "analyze": ["analyze", "--clean", str(paths["clean"]), "--noise", str(paths["noise"]), "--out-dir", str(out)],
+    }[command]
+    if command in ("enhance", "candidates"):
+        argv += ["--out", str(out / "result")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    for target in ("read_wav", "run_experiment"):
+        monkeypatch.setattr(cli, target, _refuse_io)
+    assert main([*argv, *flags]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", MINIMAL_ARGVS)
+def test_help_shows_the_parser_defaults(argv, capsys):
+    assert main([argv[0], "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = vars(cli.build_parser().parse_args(argv))
+    shown = [v for k, v in defaults.items() if k not in ("command", "func") and v is not None and v is not False]
+    shown = [v for v in shown if v not in argv]
+    assert shown
+    for value in shown:
+        assert f"(default {value})" in text
+    assert "(default None)" not in text

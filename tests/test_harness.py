@@ -136,6 +136,10 @@ def test_noisy_baseline_provider():
     mag_mix, _ = decompose(stft(tri.noisy, CFG))
     assert np.array_equal(est.mag_speech, mag_mix)
     assert np.all(est.mag_noise == 0)
+    # the default scope is what the baseline can supply: both magnitudes, no noise phase
+    default = provide_estimates(EstimateProvider("noisy_baseline"), tri, CFG)
+    assert np.array_equal(default.mag_speech, mag_mix) and np.all(default.mag_noise == 0)
+    assert default.phase_noise is None
     with pytest.raises(ValueError, match="cannot supply"):
         provide_estimates(EstimateProvider("noisy_baseline"), tri, CFG, ("phase_noise",))
 

@@ -297,27 +297,32 @@ def _refuse_projection(*args, **kwargs):
 
 
 DEFECTS = ("nan", "inf", "negative", "shape")
+# noisy_phase is gla's own input (enhance passes the mixture's phase), so it is called directly.
 BAD_ESTIMATES = [
     (method, name, defect)
     for method, names in (
-        ("gla", ("mag_speech",)),
+        ("gla", ("mag_speech", "noisy_phase")),
         ("nm", ("mag_speech", "mag_noise")),
         ("np", ("mag_speech", "phase_noise")),
         ("sign", ("mag_speech", "mag_noise")),
     )
     for name in names
     for defect in DEFECTS
-    if not (name == "phase_noise" and defect == "negative")
+    if defect != "negative" or name.startswith("mag")
 ]
 
 
 @pytest.mark.parametrize("method, name, defect", BAD_ESTIMATES)
 def test_enhance_rejects_bad_estimates_up_front(monkeypatch, method, name, defect):
     noisy, fields = _all_estimates(seed=19)
-    fields[name] = _spoiled(fields[name], defect)
     monkeypatch.setattr(reconstruct, "project_values", _refuse_projection)
     with pytest.raises(ValueError, match=name):
-        enhance(noisy, method, Estimates(**fields))
+        if name == "noisy_phase":
+            bad = _spoiled(decompose(noisy)[1], defect)
+            gla(fields["mag_speech"], stft_cfg=noisy.config, origin_length=noisy.origin_length, noisy_phase=bad)
+        else:
+            fields[name] = _spoiled(fields[name], defect)
+            enhance(noisy, method, Estimates(**fields))
 
 
 def test_nm_exact_zero_update_keeps_previous_phase():
