@@ -46,7 +46,7 @@ from .harness import (
 )
 from .metrics import phase_cos_sim, phase_error_map, plain_snr, si_snr
 from .reconstruct import INIT_KINDS, METHODS, ReconConfig, enhance
-from .spectral import StftConfig, Waveform, angular_distance, decompose, stft
+from .spectral import StftConfig, Waveform, _check_invertible, angular_distance, decompose, stft
 
 log = logging.getLogger(__name__)
 
@@ -118,9 +118,11 @@ def _setup_logging() -> None:
 
 def _stft_config(cfg: dict) -> StftConfig:
     try:
-        return StftConfig(window_length=cfg["window"], hop_length=cfg["hop"], fft_length=cfg["fft"])
+        stft_cfg = StftConfig(window_length=cfg["window"], hop_length=cfg["hop"], fft_length=cfg["fft"])
+        _check_invertible(stft_cfg)
     except ValueError as exc:
         raise UsageError(f"--window/--hop/--fft: {exc}") from exc
+    return stft_cfg
 
 
 def _read_aligned(path, reference, what: str, reference_name: str):
@@ -178,7 +180,6 @@ def cmd_enhance(cfg: dict, stft_cfg: StftConfig) -> int:
                 "iteration": s.iteration,
                 "inconsistency": s.inconsistency,
                 "phase_cos_sim": s.phase_cos_sim,
-                "candidate_distance": s.candidate_distance,
             }
             for s in report.per_iteration
         ],

@@ -25,6 +25,7 @@ from .spectral import (
     StftConfig,
     Waveform,
     _analyze,
+    _expj,
     _synthesize,
     canonical_length,
     decompose,
@@ -84,14 +85,15 @@ class ReconReport:
 
     ``final_inconsistency`` measures the final iterate, traced or not; with
     trace on it equals ``per_iteration[-1].inconsistency``. ``signal`` is the
-    synthesis of the final iterate, trimmed to the original length.
+    synthesis of the final iterate, trimmed to the original length. The trace
+    keeps scalars only; the phase after ``k`` iterations is the
+    ``final_phase`` of a run with ``iterations=k``.
     """
 
     final_phase: np.ndarray
     final_inconsistency: float
     signal: np.ndarray
     per_iteration: list[IterationStats] = field(default_factory=list)
-    phases: list[np.ndarray] | None = None
     method: str = ""
 
 
@@ -121,15 +123,16 @@ def _stats(
     speech_values: np.ndarray,
     projected: np.ndarray,
     z: np.ndarray,
-    phase: np.ndarray,
     stft_cfg: StftConfig,
     ref: np.ndarray | None,
     candidates,
+    angles,
 ) -> IterationStats:
-    """Diagnostics of the iterate ``z`` (angles ``phase``); ``ref`` is the reference phasor.
+    """Diagnostics of the iterate ``z``; ``ref`` is the reference phasor.
 
     As ``|z| = |ref| = 1`` to rounding, the phase cosine similarity is
     ``Re <ref, z> / N``: one dot product over the float64 components.
+    ``angles(z)``, the iterate's phase, is formed only for the candidates.
     """
     return IterationStats(
         iteration=n,
@@ -138,7 +141,7 @@ def _stats(
         candidate_distance=(
             None
             if candidates is None
-            else float(np.mean(nearest_candidate_distance(phase, candidates)))
+            else float(np.mean(nearest_candidate_distance(angles(z), candidates)))
         ),
     )
 
@@ -177,29 +180,20 @@ def _phasor(z: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _unit(values, np.abs(values), z.copy())
 
 
-def _initial_mixture_phasor(cfg: ReconConfig, noisy: Spectrogram):
+def _initial_mixture_phasor(cfg: ReconConfig, mixture, mag_mix, phase_mix):
     """Initial phase of nm/np and, for init 'noisy', its phasor.
 
-    That phasor is ``mixture / |mixture|`` (1 at exact zeros), normalized
+    That phasor is ``mixture / mag_mix`` (1 at exact zeros), normalized
     without ``exp``; other inits leave it to ``_run``.
     """
-    mag_mix, phase_mix = decompose(noisy)
     phase = _initial_phase(cfg, mag_mix.shape, phase_mix)
     if cfg.init != "noisy":
         return phase, None
-    return phase, _unit(noisy.values, mag_mix, np.ones(mag_mix.shape, dtype=np.complex128))
-
-
-def _expj(phase: np.ndarray) -> np.ndarray:
-    """``exp(1j * phase)`` written as one cosine and one sine, cheaper than the complex exp."""
-    out = np.empty(phase.shape, dtype=np.complex128)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
+    return phase, _unit(mixture, mag_mix, np.ones(mag_mix.shape, dtype=np.complex128))
 
 
 def _run(
-    method, mag, phase, update, cfg: ReconConfig, stft_cfg, length, ref_phase, candidates, z0=None
+    method, mag, update, cfg: ReconConfig, stft_cfg, length, ref_phase, candidates, phase, z0=None
 ):
     """The loop shared by every method, on a unit phasor iterate ``z``.
 
@@ -207,12 +201,13 @@ def _run(
     spectrograms and hands the projection to ``update(z, projected)``, which
     returns the next phasor. One last pass projects the final iterate through
     its synthesized signal, which measures the final inconsistency and goes
-    on the report. Angles are formed only for the report. A bin whose
+    on the report. Angles are formed once, for ``final_phase``, and per
+    iteration only when a traced run is given ``candidates``. A bin whose
     phasor never moved reports ``phase`` exactly as given. ``z0``, the
     initial phasor, defaults to ``exp(1j * phase)``. A traced run forms the
     phasor of ``ref_phase`` once and compares every iterate with it.
     """
-    z0 = np.exp(1j * phase) if z0 is None else z0
+    z0 = _expj(phase) if z0 is None else z0
     ref = None
     if cfg.trace and ref_phase is not None:
         ref_phase = np.asarray(ref_phase, dtype=np.float64)
@@ -225,7 +220,6 @@ def _run(
 
     z = z0
     stats: list[IterationStats] = []
-    phases: list[np.ndarray] | None = [phase] if cfg.trace else None
     for n in range(cfg.iterations + 1):
         speech = mag * z
         if n < cfg.iterations:
@@ -234,13 +228,11 @@ def _run(
             signal = _synthesize(speech, stft_cfg, length)
             projected = _analyze(signal, stft_cfg)
         if cfg.trace:
-            stats.append(_stats(n, speech, projected, z, phases[-1], stft_cfg, ref, candidates))
+            stats.append(_stats(n, speech, projected, z, stft_cfg, ref, candidates, angles))
         if n < cfg.iterations:
             z = update(z, projected)
-            if cfg.trace:
-                phases.append(angles(z))
     final = stats[-1].inconsistency if cfg.trace else weighted_frobenius(speech - projected, stft_cfg)
-    return ReconReport(phases[-1] if cfg.trace else angles(z), final, signal, stats, phases, method)
+    return ReconReport(angles(z), final, signal, stats, method)
 
 
 def gla(
@@ -270,7 +262,7 @@ def gla(
         noisy_phase = _estimate("noisy_phase", noisy_phase, mag.shape, nonnegative=False)
     length = origin_length if origin_length is not None else canonical_length(mag.shape[0], stft_cfg)
     phase = _initial_phase(cfg, mag.shape, noisy_phase)
-    return _run("gla", mag, phase, _phasor, cfg, stft_cfg, length, ref_phase, candidates)
+    return _run("gla", mag, _phasor, cfg, stft_cfg, length, ref_phase, candidates, phase)
 
 
 def nm_msgla(
@@ -291,18 +283,23 @@ def nm_msgla(
     Wherever a value in (i)-(iii) is exactly zero, the current speech phase
     is kept in its place.
     """
-    cfg = cfg if cfg is not None else ReconConfig()
     mag_speech = _estimate("mag_speech", mag_speech, noisy.values.shape)
     mag_noise = _estimate("mag_noise", mag_noise, noisy.values.shape)
+    cfg = cfg if cfg is not None else ReconConfig()
+    start = _initial_mixture_phasor(cfg, noisy.values, *decompose(noisy))
+    return _nm(noisy, start, mag_speech, mag_noise, cfg, ref_phase, candidates)
+
+
+def _nm(noisy: Spectrogram, start, mag_speech, mag_noise, cfg, ref_phase, candidates) -> ReconReport:
+    """``nm_msgla`` on checked estimates from ``start``, the initial phase and phasor."""
     mixture, stft_cfg, length = noisy.values, noisy.config, noisy.origin_length
-    phase, z0 = _initial_mixture_phasor(cfg, noisy)
 
     def update(z, projected):
         speech = _phasor(z, projected)
         noise = _phasor(z, project_values(mixture - mag_speech * speech, stft_cfg, length))
         return _phasor(z, mixture - mag_noise * noise)
 
-    return _run("nm", mag_speech, phase, update, cfg, stft_cfg, length, ref_phase, candidates, z0)
+    return _run("nm", mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, *start)
 
 
 def np_msgla(
@@ -323,19 +320,24 @@ def np_msgla(
     Wherever a value in (i) or (iii) is exactly zero, the current speech
     phase is kept in its place.
     """
-    cfg = cfg if cfg is not None else ReconConfig()
     mag_speech = _estimate("mag_speech", mag_speech, noisy.values.shape)
     phase_noise = _estimate("phase_noise", phase_noise, noisy.values.shape, nonnegative=False)
+    cfg = cfg if cfg is not None else ReconConfig()
+    start = _initial_mixture_phasor(cfg, noisy.values, *decompose(noisy))
+    return _np(noisy, start, mag_speech, phase_noise, cfg, ref_phase, candidates)
+
+
+def _np(noisy: Spectrogram, start, mag_speech, phase_noise, cfg, ref_phase, candidates) -> ReconReport:
+    """``np_msgla`` on checked estimates from ``start``, the initial phase and phasor."""
     mixture, stft_cfg, length = noisy.values, noisy.config, noisy.origin_length
-    phase, z0 = _initial_mixture_phasor(cfg, noisy)
-    noise = np.exp(1j * phase_noise)
+    noise = _expj(phase_noise)
 
     def update(z, projected):
         speech = _phasor(z, projected)
         implied_mag_noise = np.abs(project_values(mixture - mag_speech * speech, stft_cfg, length))
         return _phasor(z, mixture - implied_mag_noise * noise)
 
-    return _run("np", mag_speech, phase, update, cfg, stft_cfg, length, ref_phase, candidates, z0)
+    return _run("np", mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, *start)
 
 
 def _require(value, method: str, name: str):
@@ -370,40 +372,33 @@ def enhance(
     method = method.lower()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    # nm and np decompose the mixture inside their own loop.
-    mag_mix, phase_mix = decompose(noisy) if method in ("passthrough", "gla", "sign") else (None, None)
+    mag_mix, phase_mix = decompose(noisy)
 
     def needed(name: str, nonnegative: bool = True) -> np.ndarray:
         value = _require(getattr(est, name), method, name)
         return _estimate(name, value, noisy.values.shape, nonnegative=nonnegative)
 
-    def one_shot(mag, phase) -> ReconReport:
-        no_loop = replace(cfg, iterations=0)
+    def loop(update, phase, loop_cfg=cfg) -> ReconReport:
         length = noisy.origin_length
-        return _run(method, mag, phase, None, no_loop, noisy.config, length, ref_phase, candidates)
+        return _run(method, mag, update, loop_cfg, noisy.config, length, ref_phase, candidates, phase)
 
+    no_loop = replace(cfg, iterations=0)
     mag = mag_mix if method == "passthrough" and est.mag_speech is None else needed("mag_speech")
     if method == "passthrough":
-        report = one_shot(mag, phase_mix)
+        report = loop(None, phase_mix, no_loop)
     elif method == "gla":
-        report = gla(
-            mag,
-            cfg,
-            noisy.config,
-            origin_length=noisy.origin_length,
-            noisy_phase=phase_mix,
-            ref_phase=ref_phase,
-            candidates=candidates,
-        )
-    elif method == "nm":
-        mag_noise = needed("mag_noise")
-        report = nm_msgla(noisy, mag, mag_noise, cfg, ref_phase=ref_phase, candidates=candidates)
-    elif method == "np":
-        phase_noise = needed("phase_noise", nonnegative=False)
-        report = np_msgla(noisy, mag, phase_noise, cfg, ref_phase=ref_phase, candidates=candidates)
+        report = loop(_phasor, _initial_phase(cfg, mag.shape, phase_mix))
+    elif method in ("nm", "np"):
+        core = _nm if method == "nm" else _np
+        other = needed("mag_noise") if method == "nm" else needed("phase_noise", nonnegative=False)
+        start = _initial_mixture_phasor(cfg, noisy.values, mag_mix, phase_mix)
+        # The loop needs only its start. Held through it, the polar form moved
+        # glibc's heap trimming to ~18k more minor page faults per default grid.
+        del mag_mix, phase_mix
+        report = core(noisy, start, mag, other, cfg, ref_phase, candidates)
     else:  # sign
         mag_noise = needed("mag_noise")
         sign = _require(est.sign, method, "sign")
         cand = cosine_phase_candidates(mag_mix, phase_mix, mag, mag_noise)
-        report = one_shot(mag, apply_sign_field(phase_mix, cand.abs_delta, sign))
+        report = loop(None, apply_sign_field(phase_mix, cand.abs_delta, sign), no_loop)
     return Waveform(report.signal, noisy.sample_rate), report

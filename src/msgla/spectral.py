@@ -280,6 +280,23 @@ def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
     return out[:covered]
 
 
+def _check_invertible(cfg: StftConfig) -> None:
+    """Raise ``ValueError`` when ``cfg`` cannot invert a long signal.
+
+    Away from the signal's ends the overlap-added window power repeats with
+    the hop: offset ``j`` within a hop sums the squared window at ``j``,
+    ``j + hop``, ``j + 2 * hop``, ... ``_denominator`` checks the ends of
+    each signal as it is synthesized.
+    """
+    power = np.bincount(np.arange(cfg.window_length) % cfg.hop_length, weights=cfg.window() ** 2)
+    if power.min() < COLA_FLOOR:
+        raise ValueError(
+            f"overlap-added window power {power.min():.3g} at offset {int(power.argmin())} of the hop "
+            f"is below {COLA_FLOOR}; a {cfg.window_kind} window of {cfg.window_length} samples "
+            f"with hop {cfg.hop_length} is not invertible"
+        )
+
+
 @lru_cache(maxsize=DENOMINATOR_CACHE_SIZE)
 def _denominator(cfg: StftConfig, frames: int, length: int) -> np.ndarray:
     """Folded overlap-added window power of the covered samples, read-only.
@@ -349,13 +366,21 @@ def decompose(s) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(values), wrap_phase(np.angle(values))
 
 
+def _expj(phase: np.ndarray) -> np.ndarray:
+    """``exp(1j * phase)`` written as one cosine and one sine, cheaper than the complex exp."""
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
 def recompose(mag, phase) -> np.ndarray:
     """Complex array ``mag * exp(j * phase)``."""
     mag = np.asarray(mag, dtype=np.float64)
     phase = np.asarray(phase, dtype=np.float64)
     if mag.shape != phase.shape:
         raise ValueError(f"magnitude shape {mag.shape} does not match phase shape {phase.shape}")
-    return mag * np.exp(1j * phase)
+    return mag * _expj(phase)
 
 
 def project_values(values, cfg: StftConfig, origin_length: int | None = None) -> np.ndarray:

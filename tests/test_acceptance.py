@@ -144,17 +144,18 @@ def test_criterion_5_candidate_attraction():
          mag_noise, phase_noise) = _oracle_parts(seed)
         high = mag_speech > np.median(mag_speech)
 
+        # Iteration 0 of init 'noisy' is the mixture phase; iteration 5 is the final phase.
         cand = cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise)
         rep = nm_msgla(noisy_spec, mag_speech, mag_noise, recon)
-        d0 = float(np.median(nearest_candidate_distance(rep.phases[0], cand)[high]))
-        d5 = float(np.median(nearest_candidate_distance(rep.phases[5], cand)[high]))
+        d0 = float(np.median(nearest_candidate_distance(phase_mix, cand)[high]))
+        d5 = float(np.median(nearest_candidate_distance(rep.final_phase, cand)[high]))
         ok = ok and d5 < 0.1 and d5 <= d0
         worst_final_nm = max(worst_final_nm, d5)
 
         scand = sine_phase_candidates(mag_mix, phase_mix, mag_speech, phase_noise)
         rep = np_msgla(noisy_spec, mag_speech, phase_noise, recon)
-        s0 = float(np.median(nearest_candidate_distance(rep.phases[0], scand)[high]))
-        s5 = float(np.median(nearest_candidate_distance(rep.phases[5], scand)[high]))
+        s0 = float(np.median(nearest_candidate_distance(phase_mix, scand)[high]))
+        s5 = float(np.median(nearest_candidate_distance(rep.final_phase, scand)[high]))
         ok = ok and s5 < 0.1 and s5 <= s0
         worst_final_np = max(worst_final_np, s5)
     elapsed = time.monotonic() - start

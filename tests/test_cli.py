@@ -92,6 +92,9 @@ def test_enhance_nm_improves_si_snr(mixture_files):
     assert code == 0
     metrics = json.loads(out.with_suffix(".metrics.json").read_text())
     assert metrics["metrics"]["si_snr_improvement_db"] > 0.0
+    assert len(metrics["per_iteration"]) == 6
+    for entry in metrics["per_iteration"]:
+        assert set(entry) == {"iteration", "inconsistency", "phase_cos_sim"}
     enhanced = read_wav(out)
     assert si_snr(enhanced.samples, tri.clean.samples) > si_snr(
         tri.noisy.samples, tri.clean.samples
@@ -718,6 +721,8 @@ def _refuse_io(*args, **kwargs):
         ("enhance", None, ["--hop", "1024"], "--hop"),
         ("candidates", None, ["--fft", "100"], "--fft"),
         ("analyze", None, ["--seed", "-1"], "--seed"),
+        ("enhance", None, ["--hop", "512"], "--window/--hop"),
+        ("oracle-exp", None, ["--window", "256", "--hop", "256"], "--window/--hop"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_work(

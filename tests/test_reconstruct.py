@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -132,7 +133,6 @@ def test_nm_trace_records_candidate_attraction():
         candidates=cand,
     )
     assert len(report.per_iteration) == 6
-    assert len(report.phases) == 6
     first, last = report.per_iteration[0], report.per_iteration[-1]
     assert last.candidate_distance < first.candidate_distance
     assert last.phase_cos_sim > first.phase_cos_sim
@@ -174,18 +174,20 @@ def test_np_trace_against_sine_candidates():
         ReconConfig(iterations=5),
         candidates=cand,
     )
-    dist0 = np.median(nearest_candidate_distance(report.phases[0], cand))
-    dist5 = np.median(nearest_candidate_distance(report.phases[5], cand))
+    # Iteration 0 of init 'noisy' is the mixture phase; iteration 5 is the final phase.
+    dist0 = np.median(nearest_candidate_distance(phase_mix, cand))
+    dist5 = np.median(nearest_candidate_distance(report.final_phase, cand))
     assert dist5 < dist0
 
 
 def test_all_phases_stay_wrapped_and_finite():
     tri, noisy, mag_speech, _, mag_noise, phase_noise = _mixture(seed=10)
-    for report in (
-        nm_msgla(noisy, mag_speech, mag_noise, ReconConfig(iterations=4)),
-        np_msgla(noisy, mag_speech, phase_noise, ReconConfig(iterations=4)),
-    ):
-        for phase in report.phases:
+    for k in range(5):
+        for report in (
+            nm_msgla(noisy, mag_speech, mag_noise, ReconConfig(iterations=k)),
+            np_msgla(noisy, mag_speech, phase_noise, ReconConfig(iterations=k)),
+        ):
+            phase = report.final_phase
             assert np.all(phase >= -np.pi) and np.all(phase < np.pi)
             assert np.isfinite(phase).all()
 
@@ -201,10 +203,10 @@ def test_magnitude_distance_nonincreasing_in_weighted_norm():
     # the magnitude of the projected iterate
     rng = np.random.default_rng(12)
     mag = rng.uniform(0, 1, size=(9, CFG.n_bins))
-    report = gla(mag, ReconConfig(iterations=30, init="zero"), CFG)
     weights = bin_weights(CFG)
     values = []
-    for phase in report.phases:
+    for k in range(31):
+        phase = gla(mag, ReconConfig(iterations=k, init="zero"), CFG).final_phase
         projected = consistency_project(mag, phase, CFG)
         gap = mag - np.abs(projected.values)
         values.append(float(np.sqrt(np.sum(weights * gap**2))))
@@ -334,20 +336,21 @@ def test_nm_exact_zero_update_keeps_previous_phase():
     mag_noise[5, 40] = 0.0
     cfg = ReconConfig(iterations=3, init="random", seed=1)
     report = nm_msgla(holed, mag_speech, mag_noise, cfg)
+    start = nm_msgla(holed, mag_speech, mag_noise, replace(cfg, iterations=0)).final_phase
     # the update mixture - |N| e^{j phase_noise} is exactly zero at (5, 40)
-    assert report.final_phase[5, 40] == report.phases[0][5, 40] != 0.0
-    assert np.mean(report.final_phase != report.phases[0]) > 0.9
+    assert report.final_phase[5, 40] == start[5, 40] != 0.0
+    assert np.mean(report.final_phase != start) > 0.9
 
 
 def test_np_exact_zero_update_keeps_previous_phase():
     shape = (9, CFG.n_bins)
     silent = Spectrogram(np.zeros(shape), CFG, 2048)
     phase_noise = np.random.default_rng(21).uniform(-np.pi, np.pi, shape)
-    report = np_msgla(
-        silent, np.zeros(shape), phase_noise, ReconConfig(iterations=3, init="random", seed=2)
-    )
-    assert np.any(report.phases[0] != 0.0)
-    assert np.array_equal(report.final_phase, report.phases[0])
+    cfg = ReconConfig(iterations=3, init="random", seed=2)
+    report = np_msgla(silent, np.zeros(shape), phase_noise, cfg)
+    start = np_msgla(silent, np.zeros(shape), phase_noise, replace(cfg, iterations=0)).final_phase
+    assert np.any(start != 0.0)
+    assert np.array_equal(report.final_phase, start)
 
 
 SMALL_CFG = StftConfig(window_length=32, hop_length=16)
@@ -378,6 +381,13 @@ def test_loops_stay_finite_on_unit_phasors(method, kind, init, frames, seed):
     phase_noise = rng.uniform(-np.pi, np.pi, shape)
     cfg = ReconConfig(iterations=4, init=init, seed=seed)
 
+    def run(cfg):
+        if method == "gla":
+            return gla(mag_speech, cfg, SMALL_CFG, origin_length=len(x), noisy_phase=phase_mix)
+        if method == "nm":
+            return nm_msgla(noisy, mag_speech, mag_noise, cfg)
+        return np_msgla(noisy, mag_speech, phase_noise, cfg)
+
     phasors = []
 
     def recorded(z, values):
@@ -387,18 +397,14 @@ def test_loops_stay_finite_on_unit_phasors(method, kind, init, frames, seed):
 
     real_phasor = reconstruct._phasor
     with mock.patch.object(reconstruct, "_phasor", recorded):
-        if method == "gla":
-            report = gla(mag_speech, cfg, SMALL_CFG, origin_length=len(x), noisy_phase=phase_mix)
-        elif method == "nm":
-            report = nm_msgla(noisy, mag_speech, mag_noise, cfg)
-        else:
-            report = np_msgla(noisy, mag_speech, phase_noise, cfg)
+        report = run(cfg)
 
     assert len(phasors) == {"gla": 1, "nm": 3, "np": 2}[method] * cfg.iterations
     for z in phasors:
         assert np.all(np.isfinite(z))
         assert np.max(np.abs(np.abs(z) - 1.0)) < 1e-12
-    for phase in report.phases:
+    for k in range(cfg.iterations + 1):
+        phase = run(replace(cfg, iterations=k)).final_phase
         assert np.all(np.isfinite(phase))
         assert np.all(phase >= -np.pi) and np.all(phase < np.pi)
     assert all(np.isfinite(entry.inconsistency) for entry in report.per_iteration)
@@ -423,15 +429,16 @@ def test_phasor_stays_unit_on_subnormal_values():
 def test_loops_stay_finite_on_subnormal_magnitudes(method):
     tri, noisy, mag_speech, _, mag_noise, phase_noise = _mixture(seed=23)
     mag_speech, mag_noise = 1e-310 * mag_speech, 1e-310 * mag_noise
-    cfg = ReconConfig(iterations=3)
     _, phase_mix = decompose(noisy)
-    if method == "gla":
-        report = gla(mag_speech, cfg, CFG, origin_length=noisy.origin_length, noisy_phase=phase_mix)
-    elif method == "nm":
-        report = nm_msgla(noisy, mag_speech, mag_noise, cfg)
-    else:
-        report = np_msgla(noisy, mag_speech, phase_noise, cfg)
-    for phase in report.phases:
+    for k in range(4):
+        cfg = ReconConfig(iterations=k)
+        if method == "gla":
+            report = gla(mag_speech, cfg, CFG, origin_length=noisy.origin_length, noisy_phase=phase_mix)
+        elif method == "nm":
+            report = nm_msgla(noisy, mag_speech, mag_noise, cfg)
+        else:
+            report = np_msgla(noisy, mag_speech, phase_noise, cfg)
+        phase = report.final_phase
         assert np.all(np.isfinite(phase))
         assert np.all(phase >= -np.pi) and np.all(phase < np.pi)
 
@@ -462,14 +469,15 @@ def test_zero_iterations_report_the_mixture_phase_bit_for_bit(method):
 
 def test_initial_mixture_phasor_is_one_at_exact_zeros():
     holed, *_ = _holed_mixture(seed=25)
-    _, phase_mix = decompose(holed)
+    mag_mix, phase_mix = decompose(holed)
     zero = holed.values == 0
-    phase, z0 = reconstruct._initial_mixture_phasor(ReconConfig(), holed)
+    phase, z0 = reconstruct._initial_mixture_phasor(ReconConfig(), holed.values, mag_mix, phase_mix)
     assert np.array_equal(phase, phase_mix)
     assert np.all(z0[zero] == 1.0)
     assert np.max(np.abs(z0[~zero] - np.exp(1j * phase_mix[~zero]))) <= 1e-15
     for init in ("zero", "random"):
-        assert reconstruct._initial_mixture_phasor(ReconConfig(init=init), holed)[1] is None
+        cfg = ReconConfig(init=init)
+        assert reconstruct._initial_mixture_phasor(cfg, holed.values, mag_mix, phase_mix)[1] is None
 
 
 def _last_pass_case(method):
@@ -565,7 +573,7 @@ def test_true_speech_phase_is_a_fixed_point_of_nm_and_np(kind, snr_db, seed):
     cfg = ReconConfig(iterations=20, trace=False)
     with pytest.MonkeyPatch.context() as patch:
         # Start both loops at the true speech phase instead of the mixture's.
-        patch.setattr(reconstruct, "_initial_mixture_phasor", lambda cfg, noisy: (phase_speech, None))
+        patch.setattr(reconstruct, "_initial_mixture_phasor", lambda cfg, *mixture: (phase_speech, None))
         for report in (
             nm_msgla(noisy, mag_speech, mag_noise, cfg),
             np_msgla(noisy, mag_speech, phase_noise, cfg),
@@ -595,7 +603,7 @@ def test_nm_escapes_the_wrong_sign(kind, snr_db, seed):
     assert watched.any()
     fractions = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reconstruct, "_initial_mixture_phasor", lambda cfg, noisy: (wrong, None))
+        patch.setattr(reconstruct, "_initial_mixture_phasor", lambda cfg, *mixture: (wrong, None))
         for iterations in (0, 5):
             report = nm_msgla(noisy, mag_speech, mag_noise, ReconConfig(iterations=iterations, trace=False))
             moved = angular_distance(report.final_phase, phase_speech)
@@ -622,9 +630,71 @@ def test_traced_phase_similarity_is_phase_cos_sim_of_each_iterate(kind, snr_db, 
         for init in ("noisy", "random"):
             cfg = ReconConfig(iterations=3, init=init, seed=seed)
             _, report = enhance(noisy, method, est, cfg, ref_phase=phase_speech)
-            assert len(report.per_iteration) == len(report.phases)
-            for stats, phase in zip(report.per_iteration, report.phases):
+            for k, stats in enumerate(report.per_iteration):
+                phase = enhance(noisy, method, est, replace(cfg, iterations=k))[1].final_phase
                 assert abs(stats.phase_cos_sim - phase_cos_sim(phase, phase_speech)) <= 1e-12
+
+
+def _bits(stats):
+    return [v if v is None or isinstance(v, int) else float(v).hex() for v in astuple(stats)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    method=st.sampled_from(["gla", "nm", "np"]),
+    init=st.sampled_from(["noisy", "zero", "random"]),
+    iterations=st.integers(0, 5),
+    with_candidates=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_traced_scalars_are_the_final_scalars_of_shorter_runs(method, init, iterations, with_candidates, seed):
+    # The loop has a fixed iteration count, so iteration k of a traced run is
+    # the last iterate of a k-iteration run, bit for bit.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(6 * SMALL_CFG.hop_length)
+    noisy = stft(Waveform(x, 16000), SMALL_CFG)
+    mag_mix, phase_mix = decompose(noisy)
+    mag_speech = mag_mix * rng.uniform(0.2, 1.0, mag_mix.shape)
+    mag_noise = mag_mix * rng.uniform(0.2, 1.0, mag_mix.shape)
+    phase_noise = rng.uniform(-np.pi, np.pi, mag_mix.shape)
+    extra = {"ref_phase": rng.uniform(-np.pi, np.pi, mag_mix.shape)}
+    if with_candidates:
+        extra["candidates"] = cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise)
+
+    def run(k):
+        cfg = ReconConfig(iterations=k, init=init, seed=seed)
+        if method == "gla":
+            return gla(mag_speech, cfg, SMALL_CFG, origin_length=len(x), noisy_phase=phase_mix, **extra)
+        if method == "nm":
+            return nm_msgla(noisy, mag_speech, mag_noise, cfg, **extra)
+        return np_msgla(noisy, mag_speech, phase_noise, cfg, **extra)
+
+    full = run(iterations)
+    assert [stats.iteration for stats in full.per_iteration] == list(range(iterations + 1))
+    for k, stats in enumerate(full.per_iteration):
+        short = run(k)
+        assert _bits(stats) == _bits(short.per_iteration[-1])
+        assert float(stats.inconsistency).hex() == float(short.final_inconsistency).hex()
+        assert (stats.candidate_distance is None) == (not with_candidates)
+
+
+@pytest.mark.parametrize("method", ["gla", "nm", "np"])
+def test_traced_run_without_candidates_forms_angles_once(monkeypatch, method):
+    noisy, est, mag = _last_pass_case(method)
+    calls = []
+    wrap = reconstruct.wrap_phase
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return wrap(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "wrap_phase", counting)
+    for iterations in (0, 1, 6):
+        calls.clear()
+        cfg = ReconConfig(iterations=iterations, init="random", trace=True)
+        _, report = enhance(noisy, method, est, cfg, ref_phase=np.zeros_like(mag))
+        assert len(report.per_iteration) == iterations + 1
+        assert len(calls) <= 1
 
 
 @pytest.mark.parametrize("method", METHODS)

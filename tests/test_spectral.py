@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from msgla.spectral import (
     COLA_FLOOR,
@@ -15,6 +16,7 @@ from msgla.spectral import (
     project_values,
     recompose,
     _analyze,
+    _check_invertible,
     _denominator,
     _fold_indices,
     _synthesize,
@@ -377,6 +379,23 @@ def test_synthesize_matches_frame_by_frame_reference(case):
     assert np.array_equal(_synthesize(values, cfg, length), expected)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_configs(), st.integers(2, 6), st.integers(0, 40))
+def test_invertibility_check_agrees_with_synthesis_of_long_signals(cfg, windows, extra):
+    # Centered analysis of a signal of at least two windows reaches the part
+    # where the window power repeats with the hop, and its reflections cover the ends.
+    if not cfg.center:
+        cfg = StftConfig(cfg.window_length, cfg.hop_length, cfg.window_kind, cfg.fft_length, center=True)
+    n = windows * cfg.window_length + extra
+    try:
+        _check_invertible(cfg)
+    except ValueError:
+        with pytest.raises(ValueError, match="not invertible"):
+            _denominator(cfg, frame_count(n, cfg), n)
+    else:
+        _denominator(cfg, frame_count(n, cfg), n)
+
+
 def test_cached_window_and_denominator_are_read_only():
     window = StftConfig().window()
     assert window is StftConfig().window()
@@ -469,3 +488,23 @@ def test_cached_fold_indices_are_read_only():
     for index in indices:
         with pytest.raises(ValueError, match="read-only"):
             index[0] = 0
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 64).flatmap(
+        lambda n: st.tuples(
+            arrays(np.float64, n, elements=st.floats(0.0, 1e300) | st.sampled_from([0.0, 5e-324])),
+            arrays(np.float64, n, elements=_FINITE | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+        )
+    )
+)
+def test_recompose_matches_the_complex_exp_bit_for_bit(case):
+    # recompose forms the phasor as cos + 1j*sin, cheaper than np.exp(1j * phase);
+    # both round alike, and the product with mag erases the sign of a zero
+    # imaginary part, where sin(-0.0) and the complex exp differ.
+    mag, phase = case
+    assert np.array_equal(recompose(mag, phase).view(np.int64), (mag * np.exp(1j * phase)).view(np.int64))

@@ -32,6 +32,14 @@ For each arm and op kind the tool prints the median op time and the median
 count of minor page faults per op (``getrusage``; of the child with
 ``--cli``). A control ratio away from 1.0 next to unequal fault counts
 points at heap state (glibc trimming and re-faulting the heap), not at code.
+Fault counts are not a property of an arm's code alone. They depend on the
+directory an arm is imported from: one source read 8.3k faults per
+``oracle-exp`` child from one directory and 9.9k from a copy. In-process,
+they also depend on how many arms share the heap: a change that cut a
+single-package ``long_clip`` loop by 4.6k faults per op read 6.5k more per
+op than its base as one of this tool's three arms. Compare fault counts
+between arms only next to the A/A control, and confirm a fault change in a
+process that imports one package.
 The tool reports only; it changes no gate.
 """
 
