@@ -58,9 +58,15 @@ class ReconConfig:
     trace: bool = True
 
     def __post_init__(self) -> None:
-        if int(self.iterations) != self.iterations or self.iterations < 0:
-            raise ValueError(f"iterations must be a non-negative integer, got {self.iterations!r}")
-        object.__setattr__(self, "iterations", int(self.iterations))
+        for name in ("iterations", "seed"):
+            value = getattr(self, name)
+            try:
+                whole = int(value) == value and value >= 0
+            except (TypeError, ValueError, OverflowError):
+                whole = False
+            if not whole:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.init not in INIT_KINDS:
             raise ValueError(f"init must be one of {INIT_KINDS}, got {self.init!r}")
 
@@ -210,10 +216,7 @@ def _run(
     z0 = _expj(phase) if z0 is None else z0
     ref = None
     if cfg.trace and ref_phase is not None:
-        ref_phase = np.asarray(ref_phase, dtype=np.float64)
-        if ref_phase.shape != mag.shape:
-            raise ValueError(f"ref_phase shape {ref_phase.shape} does not match iterate shape {mag.shape}")
-        ref = _expj(ref_phase)
+        ref = _expj(_estimate("ref_phase", ref_phase, mag.shape, nonnegative=False))
 
     def angles(z):
         return phase if z is z0 else np.where(z == z0, phase, wrap_phase(np.angle(z)))
@@ -286,12 +289,6 @@ def nm_msgla(
     mag_speech = _estimate("mag_speech", mag_speech, noisy.values.shape)
     mag_noise = _estimate("mag_noise", mag_noise, noisy.values.shape)
     cfg = cfg if cfg is not None else ReconConfig()
-    start = _initial_mixture_phasor(cfg, noisy.values, *decompose(noisy))
-    return _nm(noisy, start, mag_speech, mag_noise, cfg, ref_phase, candidates)
-
-
-def _nm(noisy: Spectrogram, start, mag_speech, mag_noise, cfg, ref_phase, candidates) -> ReconReport:
-    """``nm_msgla`` on checked estimates from ``start``, the initial phase and phasor."""
     mixture, stft_cfg, length = noisy.values, noisy.config, noisy.origin_length
 
     def update(z, projected):
@@ -299,7 +296,8 @@ def _nm(noisy: Spectrogram, start, mag_speech, mag_noise, cfg, ref_phase, candid
         noise = _phasor(z, project_values(mixture - mag_speech * speech, stft_cfg, length))
         return _phasor(z, mixture - mag_noise * noise)
 
-    return _run("nm", mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, *start)
+    phase, z0 = _initial_mixture_phasor(cfg, mixture, *decompose(noisy))
+    return _run("nm", mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, phase, z0)
 
 
 def np_msgla(
@@ -323,12 +321,6 @@ def np_msgla(
     mag_speech = _estimate("mag_speech", mag_speech, noisy.values.shape)
     phase_noise = _estimate("phase_noise", phase_noise, noisy.values.shape, nonnegative=False)
     cfg = cfg if cfg is not None else ReconConfig()
-    start = _initial_mixture_phasor(cfg, noisy.values, *decompose(noisy))
-    return _np(noisy, start, mag_speech, phase_noise, cfg, ref_phase, candidates)
-
-
-def _np(noisy: Spectrogram, start, mag_speech, phase_noise, cfg, ref_phase, candidates) -> ReconReport:
-    """``np_msgla`` on checked estimates from ``start``, the initial phase and phasor."""
     mixture, stft_cfg, length = noisy.values, noisy.config, noisy.origin_length
     noise = _expj(phase_noise)
 
@@ -337,13 +329,8 @@ def _np(noisy: Spectrogram, start, mag_speech, phase_noise, cfg, ref_phase, cand
         implied_mag_noise = np.abs(project_values(mixture - mag_speech * speech, stft_cfg, length))
         return _phasor(z, mixture - implied_mag_noise * noise)
 
-    return _run("np", mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, *start)
-
-
-def _require(value, method: str, name: str):
-    if value is None:
-        raise ValueError(f"method '{method}' requires estimate '{name}'")
-    return value
+    phase, z0 = _initial_mixture_phasor(cfg, mixture, *decompose(noisy))
+    return _run("np", mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, phase, z0)
 
 
 def enhance(
@@ -360,11 +347,13 @@ def enhance(
     The output waveform is the synthesis of the final iterate, the
     (estimated) speech magnitude times the reconstructed phasor, trimmed to
     the mixture's original length; the loop's last pass builds it once.
-    ``passthrough`` keeps the mixture phase; ``sign`` applies a supplied sign
-    field to the law-of-cosines candidates in one shot.
+    ``gla``, ``nm`` and ``np`` run through the public :func:`gla`,
+    :func:`nm_msgla` and :func:`np_msgla`. ``passthrough`` keeps the mixture
+    phase; ``sign`` applies a supplied sign field to the law-of-cosines
+    candidates in one shot.
 
     Every estimate the method uses is checked before any work starts: it must
-    have the mixture's shape and be finite, and magnitudes must be
+    be present, have the mixture's shape and be finite, and magnitudes must be
     non-negative.
     """
     cfg = cfg if cfg is not None else ReconConfig()
@@ -372,33 +361,33 @@ def enhance(
     method = method.lower()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    mag_mix, phase_mix = decompose(noisy)
 
-    def needed(name: str, nonnegative: bool = True) -> np.ndarray:
-        value = _require(getattr(est, name), method, name)
-        return _estimate(name, value, noisy.values.shape, nonnegative=nonnegative)
+    def present(name: str):
+        value = getattr(est, name)
+        if value is None:
+            raise ValueError(f"method '{method}' requires estimate '{name}'")
+        return value
 
-    def loop(update, phase, loop_cfg=cfg) -> ReconReport:
+    def needed(name: str) -> np.ndarray:
+        return _estimate(name, present(name), noisy.values.shape)
+
+    traced = {"ref_phase": ref_phase, "candidates": candidates}
+    if method == "nm":
+        report = nm_msgla(noisy, present("mag_speech"), present("mag_noise"), cfg, **traced)
+    elif method == "np":
+        report = np_msgla(noisy, present("mag_speech"), present("phase_noise"), cfg, **traced)
+    else:
+        mag_mix, phase_mix = decompose(noisy)
+        mag = mag_mix if method == "passthrough" and est.mag_speech is None else needed("mag_speech")
         length = noisy.origin_length
-        return _run(method, mag, update, loop_cfg, noisy.config, length, ref_phase, candidates, phase)
-
-    no_loop = replace(cfg, iterations=0)
-    mag = mag_mix if method == "passthrough" and est.mag_speech is None else needed("mag_speech")
-    if method == "passthrough":
-        report = loop(None, phase_mix, no_loop)
-    elif method == "gla":
-        report = loop(_phasor, _initial_phase(cfg, mag.shape, phase_mix))
-    elif method in ("nm", "np"):
-        core = _nm if method == "nm" else _np
-        other = needed("mag_noise") if method == "nm" else needed("phase_noise", nonnegative=False)
-        start = _initial_mixture_phasor(cfg, noisy.values, mag_mix, phase_mix)
-        # The loop needs only its start. Held through it, the polar form moved
-        # glibc's heap trimming to ~18k more minor page faults per default grid.
-        del mag_mix, phase_mix
-        report = core(noisy, start, mag, other, cfg, ref_phase, candidates)
-    else:  # sign
-        mag_noise = needed("mag_noise")
-        sign = _require(est.sign, method, "sign")
-        cand = cosine_phase_candidates(mag_mix, phase_mix, mag, mag_noise)
-        report = loop(None, apply_sign_field(phase_mix, cand.abs_delta, sign), no_loop)
+        if method == "gla":
+            report = gla(mag, cfg, noisy.config, origin_length=length, noisy_phase=phase_mix, **traced)
+        else:
+            phase = phase_mix
+            if method == "sign":
+                mag_noise, sign = needed("mag_noise"), present("sign")
+                cand = cosine_phase_candidates(mag_mix, phase_mix, mag, mag_noise)
+                phase = apply_sign_field(phase_mix, cand.abs_delta, sign)
+            no_loop = replace(cfg, iterations=0)
+            report = _run(method, mag, None, no_loop, noisy.config, length, ref_phase, candidates, phase)
     return Waveform(report.signal, noisy.sample_rate), report

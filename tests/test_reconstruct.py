@@ -1,6 +1,8 @@
+import ast
 import sys
 import threading
 from dataclasses import astuple, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -47,6 +49,10 @@ def test_recon_config_validation():
         ReconConfig(iterations=-1)
     with pytest.raises(ValueError):
         ReconConfig(init="bogus")
+    for seed in (-1, 1.5, float("nan"), None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            ReconConfig(seed=seed, init="noisy")
+    assert ReconConfig(seed=3.0).seed == 3
 
 
 def test_gla_fixed_point_at_true_phase():
@@ -700,9 +706,50 @@ def test_traced_run_without_candidates_forms_angles_once(monkeypatch, method):
 @pytest.mark.parametrize("method", METHODS)
 def test_traced_run_rejects_a_reference_phase_of_another_shape(method):
     noisy, est, _ = _last_pass_case(method)
-    ref_phase = np.zeros((noisy.values.shape[0] - 1, noisy.values.shape[1]))
-    with pytest.raises(ValueError, match="ref_phase shape"):
-        enhance(noisy, method, est, ReconConfig(iterations=1), ref_phase=ref_phase)
+    short = np.zeros((noisy.values.shape[0] - 1, noisy.values.shape[1]))
+    cases = [(short, "ref_phase shape")]
+    for value in (np.nan, np.inf):
+        ref_phase = np.zeros(noisy.values.shape)
+        ref_phase[3, 7] = value
+        cases.append((ref_phase, "ref_phase contains non-finite values"))
+    for ref_phase, message in cases:
+        with pytest.raises(ValueError, match=message):
+            enhance(noisy, method, est, ReconConfig(iterations=1), ref_phase=ref_phase)
+        # A run without a trace never reads the reference.
+        enhance(noisy, method, est, ReconConfig(iterations=1, trace=False), ref_phase=ref_phase)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_enhance_runs_each_loop_through_its_public_function(monkeypatch, method):
+    # The benchmark's tracer sees the loops only through these module names.
+    noisy, est, _ = _last_pass_case(method)
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("gla", "nm_msgla", "np_msgla", "decompose"):
+        monkeypatch.setattr(reconstruct, name, counting(name, getattr(reconstruct, name)))
+    enhance(noisy, method, est, ReconConfig(iterations=2))
+    loop = {"gla": ["gla"], "nm": ["nm_msgla"], "np": ["np_msgla"]}.get(method, [])
+    assert sorted(calls) == sorted(["decompose", *loop])
+
+
+def test_benchmark_tracer_names_exist_in_reconstruct():
+    # Parsed, not imported, so that no bytecode is written under benchmarks/.
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
+    )
+    assert layers["reconstruct"]
+    for name in layers["reconstruct"]:
+        assert callable(getattr(reconstruct, name, None)), name
 
 
 def test_enhance_waveforms_stay_with_their_threads():
