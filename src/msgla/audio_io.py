@@ -125,14 +125,13 @@ def format_number(value) -> str:
 
 @dataclass
 class RunArtifact:
-    """Everything one run persists: rows, configuration, seeds, traces."""
+    """Everything one run persists: rows, configuration, seeds."""
 
     columns: list[str]
     rows: list[dict]
     config: dict = field(default_factory=dict)
     seeds: list[int] = field(default_factory=list)
     version: str = __version__
-    traces: dict | None = None
 
 
 def persist_run(artifact: RunArtifact, out_dir) -> Path:
@@ -169,8 +168,6 @@ def persist_run(artifact: RunArtifact, out_dir) -> Path:
         "columns": artifact.columns,
         "rows": rows,
     }
-    if artifact.traces is not None:
-        payload["traces"] = artifact.traces
     json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     manifest_path = out_dir / "manifest.json"

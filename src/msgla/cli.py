@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio_io import RunArtifact, fingerprint, format_number, persist_run, read_wav, write_wav
+from .audio_io import RunArtifact, format_number, persist_run, read_wav, write_wav
 from .geometry import (
     DEFAULT_FLOOR,
     cosine_phase_candidates,
@@ -72,6 +72,8 @@ _pos_int = _checked(int, lambda v: v > 0, "a positive integer")
 _nonneg_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _pos_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and positive")
 _nonneg_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
+# +inf dB is a noiseless mixture; NaN and -inf dB have no noise scale.
+_snr_db = _checked(float, lambda v: v > -math.inf, "a number or inf")
 
 
 class _ConfigFile(argparse.Action):
@@ -219,7 +221,7 @@ def cmd_oracle_exp(cfg: dict, stft_cfg: StftConfig) -> int:
     # performance knobs (jobs) and output location stay out of the fingerprint
     science = {k: v for k, v in cfg.items() if k not in ("command", "jobs", "out_dir")}
     science["phase_cos_sim_weighting"] = "unweighted"
-    table = run_experiment(spec, jobs=cfg["jobs"], fingerprint=fingerprint(science))
+    table = run_experiment(spec, jobs=cfg["jobs"])
     artifact = RunArtifact(table.columns, table.rows, config=science, seeds=cfg["seeds"], version=__version__)
     manifest = persist_run(artifact, cfg["out_dir"])
     print(f"wrote {manifest.parent / 'results.csv'} ({len(table.rows)} rows)")
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp = command("oracle-exp", help="run the oracle/perturbed provider matrix on synthetic mixtures")
     exp.add_argument("--out-dir", required=True, help="output directory")
     exp.add_argument("--methods", nargs="+", choices=METHODS, default=["nm", "np"], help="methods to run")
-    exp.add_argument("--snr-grid", nargs="+", type=float, default=[-6.0, 0.0, 6.0], help="mixture SNRs in dB")
+    exp.add_argument("--snr-grid", nargs="+", type=_snr_db, default=[-6.0, 0.0, 6.0], help="mixture SNRs in dB")
     exp.add_argument("--seeds", nargs="+", type=_nonneg_int, default=[0, 1, 2, 3, 4], help="mixture seeds")
     exp.add_argument("--noise-std", type=_nonneg_float, default=0.3, help="perturbed-oracle scale")
     exp.add_argument("--provider-seed", type=_nonneg_int, default=0, help="perturbation seed")
@@ -421,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     cand.add_argument("clean", help="aligned clean WAV")
     cand.add_argument("noise", help="aligned noise WAV")
     cand.add_argument("--law", choices=("cos", "sin"), default="cos", help="candidate construction")
-    cand.add_argument("--floor", type=float, default=DEFAULT_FLOOR, help="magnitude floor")
+    cand.add_argument("--floor", type=_pos_float, default=DEFAULT_FLOOR, help="magnitude floor")
     cand.add_argument("--out", required=True, help="per-bin CSV output path")
     _add_stft_flags(cand)
     cand.set_defaults(func=cmd_candidates)
@@ -437,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="scale perturbations by speech energy (complementary error pattern)",
     )
-    ana.add_argument("--snr-db", type=float, help="rescale noise to this SNR first")
+    ana.add_argument("--snr-db", type=_snr_db, help="rescale noise to this SNR first")
     _add_stft_flags(ana)
     ana.set_defaults(func=cmd_analyze)
     return parser

@@ -148,14 +148,17 @@ def _speech_shaped_noise(clean: np.ndarray, rng: np.random.Generator) -> np.ndar
     white = rng.standard_normal(clean.shape[0])
     envelope = np.abs(np.fft.rfft(clean))
     width = max(len(envelope) // 64, 3)
-    kernel = np.ones(width) / width
-    smoothed = np.convolve(envelope, kernel, mode="same")
+    # np.convolve(envelope, np.ones(width), mode="same") / width, from one running sum.
+    sums = np.cumsum(np.pad(envelope, (width // 2 + 1, (width - 1) // 2)))
+    smoothed = (sums[width:] - sums[:-width]) / width
     smoothed = smoothed / smoothed.max() + 1e-3
     return np.fft.irfft(np.fft.rfft(white) * smoothed, n=clean.shape[0])
 
 
 def _scale_noise(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:
-    if np.isinf(snr_db) and snr_db > 0:
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
+    if np.isinf(snr_db):
         return np.zeros_like(noise)
     clean_norm = float(np.linalg.norm(clean))
     noise_norm = float(np.linalg.norm(noise))
@@ -269,12 +272,12 @@ def provide_estimates(
     stft_cfg: StftConfig,
     scope: tuple[str, ...] | None = None,
 ) -> Estimates:
-    """Supply the quantities in ``scope`` from the given provider.
+    """Supply the quantities in ``scope`` as ``provider`` does in a grid cell, bit for bit.
 
-    ``oracle`` decomposes the true clean/noise spectrograms;
-    ``perturbed_oracle`` additionally applies a seeded multiplicative
-    log-normal perturbation to magnitudes and an additive wrapped Gaussian to
-    phases; ``noisy_baseline`` supplies the noisy magnitude as the speech
+    ``oracle`` passes the clean/noise spectra through as read-only arrays;
+    ``perturbed_oracle`` applies a seeded multiplicative log-normal
+    perturbation to magnitudes and an additive wrapped Gaussian to phases;
+    ``noisy_baseline`` supplies the (read-only) noisy magnitude as the speech
     magnitude and zero as the noise magnitude (it has no noise phase).
     The default scope is everything the provider can supply; asking the
     baseline for ``phase_noise`` raises ``ValueError``.
@@ -284,13 +287,8 @@ def provide_estimates(
     unknown = [q for q in scope if q not in _QUANTITY_TAGS]
     if unknown:
         raise ValueError(f"unknown estimate quantities {unknown}")
-    if provider.kind == "noisy_baseline":
-        exact = {"mag_mix": decompose(stft(triple.noisy, stft_cfg))[0]}
-    else:
-        mag_speech, _ = decompose(stft(triple.clean, stft_cfg))
-        mag_noise, phase_noise = decompose(stft(triple.noise, stft_cfg))
-        exact = {"mag_speech": mag_speech, "mag_noise": mag_noise, "phase_noise": phase_noise}
-    return Estimates(**{q: _provided(provider, q, exact, triple.seed) for q in scope})
+    _, spectra = _spectra(triple.noisy, triple.clean, triple.noise, stft_cfg)
+    return Estimates(**{q: _provided(provider, q, spectra, triple.seed) for q in scope})
 
 
 def default_provider_pairs(
@@ -427,7 +425,6 @@ def _run_cell(
     method: str,
     pair: tuple[EstimateProvider, EstimateProvider] | None,
     recon_cfg: ReconConfig,
-    fingerprint: str,
 ) -> dict:
     if pair is None:
         speech_label = noise_label = "-"
@@ -451,11 +448,10 @@ def _run_cell(
         "inconsistency": report.final_inconsistency,
         "si_snr_noisy_db": ctx.si_snr_noisy,
         "phase_cos_sim_noisy": ctx.cos_sim_noisy,
-        "fingerprint": fingerprint,
     }
 
 
-def run_experiment(spec: ExperimentSpec, jobs: int = 1, fingerprint: str = "") -> ResultTable:
+def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     """Run every (method x provider pair x mixture) cell and append means.
 
     Cells run mixture by mixture: one mixture's spectra are computed once,
@@ -464,7 +460,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, fingerprint: str = "") -
 
     Rows are grouped by method, then provider pair (exact-first order), then
     mixture, and the ordering is independent of ``jobs``. Mean rows, one per
-    (method, provider pair), follow the cell rows.
+    (method, provider pair), follow the cell rows. Rows carry no
+    ``fingerprint``; ``audio_io.persist_run`` stamps the run's into that column.
     """
     if not spec.mixtures:
         return ResultTable(columns=list(RESULT_COLUMNS), rows=[])
@@ -476,7 +473,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, fingerprint: str = "") -
 
     def mixture_rows(mixture: MixtureSpec) -> list[dict]:
         ctx = _mixture_context(mixture, spec.stft_cfg)
-        return [_run_cell(ctx, method, pair, spec.recon_cfg, fingerprint) for method, pair in cells]
+        return [_run_cell(ctx, method, pair, spec.recon_cfg) for method, pair in cells]
 
     log.info(
         "running %d experiment cells over %d mixture(s) with %d worker(s)",
@@ -506,7 +503,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1, fingerprint: str = "") -
             "mixture_kind": "",
             "mixture_seed": "",
             "snr_db": "",
-            "fingerprint": fingerprint,
         }
         for column in _MEAN_COLUMNS:
             aggregate[column] = float(np.mean([r[column] for r in group]))

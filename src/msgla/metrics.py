@@ -83,24 +83,13 @@ def plain_snr(est, ref) -> float:
     return _ratio_db(ref_power, float(diff @ diff))
 
 
-def phase_cos_sim(phase_est, phase_ref, weights=None) -> float:
-    """Mean cosine of the per-bin phase difference, optionally magnitude-weighted."""
+def phase_cos_sim(phase_est, phase_ref) -> float:
+    """Mean cosine of the per-bin phase difference, every bin weighted alike."""
     pe = np.asarray(phase_est, dtype=np.float64)
     pr = np.asarray(phase_ref, dtype=np.float64)
     if pe.shape != pr.shape:
         raise ValueError(f"shape mismatch: {pe.shape} vs {pr.shape}")
-    c = np.cos(pe - pr)
-    if weights is None:
-        return float(c.mean())
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != pe.shape:
-        raise ValueError(f"weights shape {w.shape} does not match phases {pe.shape}")
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total == 0.0:
-        raise ValueError("weights sum to zero")
-    return float((w * c).sum() / total)
+    return float(np.cos(pe - pr).mean())
 
 
 def bin_weights(cfg: StftConfig) -> np.ndarray:

@@ -40,11 +40,9 @@ DEFAULT_SAMPLE_RATE = 16000
 # Minimum summed squared-window power accepted during inversion.
 COLA_FLOOR = 1e-12
 
-WINDOW_KINDS = ("hann", "rectangular")
-
 # Distinct (config, frame count, origin length) triples whose overlap-added
 # window power is kept; one entry is a float per output sample. The fold
-# indices of centered synthesis are kept for as many signal geometries.
+# indices of synthesis are kept for as many signal geometries.
 DENOMINATOR_CACHE_SIZE = 64
 
 _TWO_PI = 2.0 * np.pi
@@ -79,15 +77,13 @@ def angular_distance(a, b) -> np.ndarray:
 class StftConfig:
     """Transform configuration shared by analysis, synthesis and projection.
 
-    The defaults (512-sample Hann window, 256-sample hop) match the setup
-    used throughout the reconstruction experiments.
+    Frames are centered (reflect padding) and windowed with a periodic Hann
+    window. The defaults (512-sample window, 256-sample hop) match the experiments.
     """
 
     window_length: int = 512
     hop_length: int = 256
-    window_kind: str = "hann"
     fft_length: int | None = None
-    center: bool = True
 
     def __post_init__(self) -> None:
         if self.fft_length is None:
@@ -105,27 +101,21 @@ class StftConfig:
             raise ValueError(
                 f"fft_length ({self.fft_length}) must be at least window_length ({self.window_length})"
             )
-        if self.window_kind not in WINDOW_KINDS:
-            raise ValueError(f"window_kind must be one of {WINDOW_KINDS}, got {self.window_kind!r}")
 
     @property
     def n_bins(self) -> int:
         return self.fft_length // 2 + 1
 
     def window(self) -> np.ndarray:
-        """The analysis window; one shared read-only array per kind and length."""
-        return _window(self.window_kind, self.window_length)
+        """The analysis window; one shared read-only array per length."""
+        return _window(self.window_length)
 
 
 @lru_cache(maxsize=16)
-def _window(kind: str, length: int) -> np.ndarray:
-    if kind == "hann":
-        # Periodic Hann: the variant whose shifted squares overlap-add
-        # to a strictly positive sum for hop <= window/2.
-        n = np.arange(length)
-        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / length)
-    else:
-        window = np.ones(length)
+def _window(length: int) -> np.ndarray:
+    # Periodic Hann: the variant whose shifted squares overlap-add
+    # to a strictly positive sum for hop <= window/2.
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
     window.setflags(write=False)
     return window
 
@@ -197,26 +187,22 @@ def _ceil_div(a: int, b: int) -> int:
 
 def frame_count(n_samples: int, cfg: StftConfig) -> int:
     """Number of analysis frames produced for a signal of ``n_samples``."""
-    if cfg.center:
-        return _ceil_div(n_samples, cfg.hop_length) + 1
-    return _ceil_div(max(n_samples - cfg.window_length, 0), cfg.hop_length) + 1
+    return _ceil_div(n_samples, cfg.hop_length) + 1
 
 
 def canonical_length(n_frames: int, cfg: StftConfig) -> int:
     """Longest signal length analyzed into exactly ``n_frames`` frames."""
     if n_frames < 1:
         raise ValueError("a spectrogram needs at least one frame")
-    if cfg.center:
-        return (n_frames - 1) * cfg.hop_length
-    return (n_frames - 1) * cfg.hop_length + cfg.window_length
+    return (n_frames - 1) * cfg.hop_length
 
 
 def _analyze(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     n = x.shape[0]
     w, hop = cfg.window_length, cfg.hop_length
     frames = frame_count(n, cfg)
-    pad = w // 2 if cfg.center else 0
-    if cfg.center and n < pad + 1:
+    pad = w // 2
+    if n < pad + 1:
         raise ValueError(
             f"signal of length {n} is too short for centered analysis with window {w}"
         )
@@ -224,9 +210,8 @@ def _analyze(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     # fills the last frame; (frames - 1) * hop + w >= n + 2 * pad always.
     padded = np.zeros((frames - 1) * hop + w)
     padded[pad : pad + n] = x
-    if pad:
-        padded[:pad] = x[pad:0:-1]
-        padded[pad + n : n + 2 * pad] = x[::-1][1 : pad + 1]
+    padded[:pad] = x[pad:0:-1]
+    padded[pad + n : n + 2 * pad] = x[::-1][1 : pad + 1]
     step = padded.strides[0]
     segments = as_strided(padded, (frames, w), (hop * step, step), writeable=False) * cfg.window()
     return np.fft.rfft(segments, n=cfg.fft_length, axis=1)
@@ -265,12 +250,12 @@ def _fold_indices(pad: int, length: int, total: int) -> tuple[np.ndarray, ...]:
 
 def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
     """Map an overlap-added buffer onto the ``length`` source samples."""
-    pad = cfg.window_length // 2 if cfg.center else 0
+    pad = cfg.window_length // 2
     total = buffer.shape[0]
     out = np.zeros(length)
     covered = min(length, max(total - pad, 0))
     out[:covered] = buffer[pad : pad + covered]
-    if cfg.center and length > 1:
+    if length > 1:
         # Fold the windowed energy that landed on reflected padding back onto
         # the source samples; with this, synthesis is the exact least-squares
         # inverse of the centered analysis operator.
@@ -292,7 +277,7 @@ def _check_invertible(cfg: StftConfig) -> None:
     if power.min() < COLA_FLOOR:
         raise ValueError(
             f"overlap-added window power {power.min():.3g} at offset {int(power.argmin())} of the hop "
-            f"is below {COLA_FLOOR}; a {cfg.window_kind} window of {cfg.window_length} samples "
+            f"is below {COLA_FLOOR}; a Hann window of {cfg.window_length} samples "
             f"with hop {cfg.hop_length} is not invertible"
         )
 
@@ -310,7 +295,7 @@ def _denominator(cfg: StftConfig, frames: int, length: int) -> np.ndarray:
         t = int(np.argmax(core < COLA_FLOOR))
         raise ValueError(
             f"overlap-added window power {core[t]:.3g} at sample {t} is below {COLA_FLOOR}; "
-            "this window/hop/centering combination is not invertible"
+            "this window/hop combination is not invertible"
         )
     core.setflags(write=False)
     return core
@@ -337,9 +322,9 @@ def _synthesize(values: np.ndarray, cfg: StftConfig, origin_length: int) -> np.n
 def stft(x: Waveform, cfg: StftConfig | None = None) -> Spectrogram:
     """One-sided complex spectrogram of ``x``.
 
-    Frames are centered on multiples of the hop size when ``cfg.center`` is
-    true (reflect padding); otherwise the first frame starts at sample 0 and
-    the tail is zero-padded to fill the last frame.
+    Frames are centered on multiples of the hop size: the signal is reflect
+    padded by half a window at each end, and the tail is zero-padded to fill
+    the last frame.
     """
     cfg = cfg if cfg is not None else StftConfig()
     if len(x) == 0:

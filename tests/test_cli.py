@@ -723,6 +723,15 @@ def _refuse_io(*args, **kwargs):
         ("analyze", None, ["--seed", "-1"], "--seed"),
         ("enhance", None, ["--hop", "512"], "--window/--hop"),
         ("oracle-exp", None, ["--window", "256", "--hop", "256"], "--window/--hop"),
+        ("candidates", None, ["--floor", "nan"], "--floor"),
+        ("candidates", None, ["--floor", "inf"], "--floor"),
+        ("candidates", None, ["--floor", "0"], "--floor"),
+        ("candidates", None, ["--floor=-1e-12"], "--floor"),
+        ("oracle-exp", None, ["--snr-grid", "0", "nan"], "--snr-grid"),
+        ("oracle-exp", None, ["--snr-grid=-inf"], "--snr-grid"),
+        ("analyze", None, ["--snr-db", "nan"], "--snr-db"),
+        ("analyze", None, ["--snr-db=-inf"], "--snr-db"),
+        ("analyze", {"snr_db": "nan"}, [], "--snr-db"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_work(

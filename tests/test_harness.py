@@ -97,6 +97,32 @@ def test_mixture_bad_kind():
         synthesize_mixture("pink", 0.0, 0.25, 16000, 0)
 
 
+@pytest.mark.parametrize("snr_db", [float("nan"), -float("inf")])
+def test_mixture_rejects_an_snr_without_a_noise_scale(snr_db):
+    with pytest.raises(ValueError, match="snr_db must be a number or"):
+        synthesize_mixture("harmonic", snr_db, 0.25, 16000, 0)
+
+
+# Clip lengths whose envelopes of n // 2 + 1 bins give a width of 3 (the
+# minimum), an odd width (7) and an even width (10).
+@pytest.mark.parametrize("n", [200, 900, 1280])
+def test_speech_shaped_envelope_is_the_box_convolution(n):
+    clean = np.random.default_rng(n).standard_normal(n)
+    envelope = np.abs(np.fft.rfft(clean))
+    width = max(len(envelope) // 64, 3)
+    smoothed = np.convolve(envelope, np.ones(width) / width, mode="same")
+    white = np.random.default_rng(1).standard_normal(n)
+    expected = np.fft.irfft(np.fft.rfft(white) * (smoothed / smoothed.max() + 1e-3), n=n)
+    got = harness._speech_shaped_noise(clean, np.random.default_rng(1))
+    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+def test_speech_shaped_mixture_of_two_samples():
+    tri = synthesize_mixture("speech_shaped", 0.0, 2 / 16000, 16000, 0)
+    assert len(tri.noisy) == 2
+    assert np.all(np.isfinite(tri.noise.samples))
+
+
 def test_oracle_estimates_recompose_to_mixture():
     tri = synthesize_mixture("harmonic", 0.0, 0.25, 16000, 8)
     est = provide_estimates(EstimateProvider("oracle"), tri, CFG)
@@ -142,6 +168,30 @@ def test_noisy_baseline_provider():
     assert default.phase_noise is None
     with pytest.raises(ValueError, match="cannot supply"):
         provide_estimates(EstimateProvider("noisy_baseline"), tri, CFG, ("phase_noise",))
+
+
+@pytest.mark.parametrize(
+    "provider",
+    [
+        EstimateProvider("oracle"),
+        EstimateProvider("perturbed_oracle", 0.3, 4),
+        EstimateProvider("noisy_baseline"),
+    ],
+    ids=["oracle", "perturbed_oracle", "noisy_baseline"],
+)
+def test_provide_estimates_equals_the_grids_estimates(provider):
+    tri = synthesize_mixture("speech_shaped", -3.0, 0.25, 16000, 12)
+    _, spectra = harness._spectra(tri.noisy, tri.clean, tri.noise, CFG)
+    est = provide_estimates(provider, tri, CFG)
+    methods = ("nm",) if provider.kind == "noisy_baseline" else ("nm", "np")
+    for method in methods:
+        grid = harness._estimates(method, spectra, (provider, provider), tri.seed)
+        for quantity in METHOD_NEEDS[method]:
+            assert getattr(est, quantity).tobytes() == getattr(grid, quantity).tobytes()
+    if provider.kind == "oracle":
+        for quantity in ("mag_speech", "mag_noise", "phase_noise"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(est, quantity)[0, 0] = 0.0
 
 
 def test_provider_validation():
@@ -298,7 +348,6 @@ def _cell_by_cell(spec):
                         "inconsistency": report.final_inconsistency,
                         "si_snr_noisy_db": si_snr(triple.noisy, triple.clean),
                         "phase_cos_sim_noisy": phase_cos_sim(phase_mix, phase_speech),
-                        "fingerprint": "fp",
                     }
                 )
     return rows
@@ -308,7 +357,7 @@ def _cell_by_cell(spec):
 def test_run_experiment_shared_spectra_match_cell_by_cell(jobs):
     spec = _reuse_spec()
     expected = _cell_by_cell(spec)
-    table = run_experiment(spec, jobs=jobs, fingerprint="fp")
+    table = run_experiment(spec, jobs=jobs)
     cells = [r for r in table.rows if r["row_kind"] == "cell"]
     assert cells == expected  # exact float equality, in method -> pair -> mixture order
     means = [r for r in table.rows if r["row_kind"] == "mean"]

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -39,18 +41,18 @@ def test_config_defaults_and_validation():
     cfg = StftConfig()
     assert cfg.window_length == 512
     assert cfg.hop_length == 256
-    assert cfg.window_kind == "hann"
     assert cfg.fft_length == 512
-    assert cfg.center is True
     assert cfg.n_bins == 257
+    # One geometry: centered frames, periodic Hann window.
+    assert [f.name for f in fields(StftConfig)] == ["window_length", "hop_length", "fft_length"]
+    n = np.arange(512)
+    assert np.array_equal(cfg.window(), 0.5 - 0.5 * np.cos(2.0 * np.pi * n / 512))
     with pytest.raises(ValueError):
         StftConfig(window_length=256, hop_length=512)
     with pytest.raises(ValueError):
         StftConfig(fft_length=256)
     with pytest.raises(ValueError):
         StftConfig(hop_length=0)
-    with pytest.raises(ValueError):
-        StftConfig(window_kind="hamming")
 
 
 def test_waveform_validation():
@@ -94,18 +96,6 @@ def test_stft_zero_signal_is_zero():
     assert s.origin_length == 4000
 
 
-def test_stft_impulse_matches_dft():
-    # Unit impulse at t=0, rectangular window, no centering: frame 0 is the
-    # DFT of the impulse, i.e. 1+0j in every bin.
-    cfg = StftConfig(window_length=64, hop_length=32, window_kind="rectangular", center=False)
-    x = np.zeros(64)
-    x[0] = 1.0
-    s = stft(Waveform(x, 16000), cfg)
-    assert np.allclose(s.values[0], np.ones(cfg.n_bins), atol=1e-12)
-    expected = _naive_dft(x, cfg.fft_length)
-    assert np.allclose(s.values[0], expected, atol=1e-10)
-
-
 def test_stft_sinusoid_concentrates_in_bin():
     cfg = StftConfig()
     fs = 16000
@@ -130,13 +120,14 @@ def test_stft_sinusoid_concentrates_in_bin():
 
 
 def test_stft_frame_against_naive_dft():
-    cfg = StftConfig(window_length=32, hop_length=16, center=False)
+    # Frame m is centered on sample 16 m, so frames 1..7 lie inside the signal.
+    cfg = StftConfig(window_length=32, hop_length=16)
     rng = np.random.default_rng(7)
     x = rng.standard_normal(128)
     s = stft(Waveform(x, 8000), cfg)
     window = cfg.window()
-    for m in (0, 3, 5):
-        frame = x[m * 16 : m * 16 + 32] * window
+    for m in (1, 3, 7):
+        frame = x[m * 16 - 16 : m * 16 + 16] * window
         assert np.allclose(s.values[m], _naive_dft(frame, cfg.fft_length), atol=1e-10)
 
 
@@ -149,14 +140,6 @@ def test_round_trip_exact(hop, length):
     y = istft(stft(Waveform(x, 16000), cfg))
     assert len(y) == length
     assert np.max(np.abs(y.samples - x)) < 1e-10 * np.max(np.abs(x))
-
-
-def test_round_trip_rectangular_uncentered():
-    cfg = StftConfig(window_kind="rectangular", center=False)
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(5000)
-    y = istft(stft(Waveform(x, 16000), cfg))
-    assert np.max(np.abs(y.samples - x)) < 1e-10
 
 
 def test_round_trip_with_fft_padding():
@@ -176,8 +159,9 @@ def test_istft_zero_spectrogram():
 
 
 def test_istft_cola_violation_raises():
-    # Hann without centering leaves the first sample with zero window power.
-    cfg = StftConfig(center=False)
+    # With the hop equal to the window, the Hann window's zeros line up
+    # at every multiple of the hop: those samples have zero window power.
+    cfg = StftConfig(hop_length=512)
     s = Spectrogram(np.ones((4, cfg.n_bins)), cfg, 1280, 16000)
     with pytest.raises(ValueError, match="overlap-added window power"):
         istft(s)
@@ -203,7 +187,7 @@ def test_linearity():
 
 
 def test_decompose_trivials():
-    cfg = StftConfig(window_length=4, hop_length=2, center=False)
+    cfg = StftConfig(window_length=4, hop_length=2)
     values = np.array([[1 + 0j, 1j, 0j]])
     mag, phase = decompose(Spectrogram(values, cfg, 4, 16000))
     assert np.allclose(mag, [[1.0, 1.0, 0.0]])
@@ -297,13 +281,13 @@ def _reference_synthesize(values, cfg, origin_length):
     for m in range(frames):
         num[m * hop : m * hop + w] += segments[m]
         den[m * hop : m * hop + w] += wsq
-    pad = w // 2 if cfg.center else 0
+    pad = w // 2
     out_num = np.zeros(length)
     out_den = np.zeros(length)
     covered = min(length, max(total - pad, 0))
     out_num[:covered] = num[pad : pad + covered]
     out_den[:covered] = den[pad : pad + covered]
-    if cfg.center and length > 1:
+    if length > 1:
         t_left = np.arange(1, min(pad, length - 1) + 1)
         out_num[t_left] += num[pad - t_left]
         out_den[t_left] += den[pad - t_left]
@@ -318,7 +302,7 @@ def _reference_synthesize(values, cfg, origin_length):
         t = int(np.argmax(core < COLA_FLOOR))
         raise ValueError(
             f"overlap-added window power {core[t]:.3g} at sample {t} is below {COLA_FLOOR}; "
-            "this window/hop/centering combination is not invertible"
+            "this window/hop combination is not invertible"
         )
     out = np.zeros(length)
     out[:covered] = out_num[:covered] / core
@@ -329,7 +313,7 @@ def _reference_analyze(x, cfg):
     """Frame-by-frame slicing of the padded signal."""
     w, hop = cfg.window_length, cfg.hop_length
     frames = frame_count(x.shape[0], cfg)
-    padded = np.pad(x, (w // 2, w // 2), mode="reflect") if cfg.center else x
+    padded = np.pad(x, (w // 2, w // 2), mode="reflect")
     padded = np.pad(padded, (0, max((frames - 1) * hop + w - padded.shape[0], 0)))
     segments = np.stack([padded[m * hop : m * hop + w] for m in range(frames)])
     return np.fft.rfft(segments * cfg.window(), n=cfg.fft_length, axis=1)
@@ -341,16 +325,14 @@ def _configs(draw):
     return StftConfig(
         window_length=w,
         hop_length=draw(st.integers(1, w)),
-        window_kind=draw(st.sampled_from(["hann", "rectangular"])),
         fft_length=w + draw(st.integers(0, 5)),
-        center=draw(st.booleans()),
     )
 
 
 @settings(max_examples=200, deadline=None)
 @given(_configs(), st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_analyze_matches_frame_by_frame_reference(cfg, n, seed):
-    n = max(n, cfg.window_length // 2 + 1) if cfg.center else n
+    n = max(n, cfg.window_length // 2 + 1)
     x = np.random.default_rng(seed).standard_normal(n)
     assert np.array_equal(_analyze(x, cfg), _reference_analyze(x, cfg))
 
@@ -384,8 +366,6 @@ def test_synthesize_matches_frame_by_frame_reference(case):
 def test_invertibility_check_agrees_with_synthesis_of_long_signals(cfg, windows, extra):
     # Centered analysis of a signal of at least two windows reaches the part
     # where the window power repeats with the hop, and its reflections cover the ends.
-    if not cfg.center:
-        cfg = StftConfig(cfg.window_length, cfg.hop_length, cfg.window_kind, cfg.fft_length, center=True)
     n = windows * cfg.window_length + extra
     try:
         _check_invertible(cfg)
@@ -409,16 +389,12 @@ def test_cached_window_and_denominator_are_read_only():
 def _projection_cases(draw):
     """An invertible config, a signal length and two random spectrograms."""
     w = draw(st.integers(4, 48))
-    center = draw(st.booleans())
-    # Uncentered periodic Hann has w[0] = 0, so sample 0 is never covered.
     cfg = StftConfig(
         window_length=w,
         hop_length=draw(st.integers(1, w // 2)),
-        window_kind=draw(st.sampled_from(["hann", "rectangular"])) if center else "rectangular",
         fft_length=w + draw(st.integers(0, 3)),
-        center=center,
     )
-    length = draw(st.integers(w // 2 + 1 if center else 1, 6 * w))
+    length = draw(st.integers(w // 2 + 1, 6 * w))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (frame_count(length, cfg), cfg.n_bins)
     a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Interleaved A/B timing of the default ``oracle-exp`` grid, the ``long_clip`` op or CLI start-up.
+"""Interleaved A/B timing of the default ``oracle-exp`` grid, the ``long_clip`` op or set-up, or CLI start-up.
 
 The benchmark runs two checkouts in separate processes, one after the other;
 on a host whose speed drifts over minutes it cannot resolve a gain of 5-15%.
 This tool alternates the same op between two versions of msgla, so that
 drift hits both alike.
 
-    python tools/ab.py [--base REV] [--rounds 12] [--warmup 2] [--seed 7] [--long-clip | --cli]
+    python tools/ab.py [--base REV] [--rounds 12] [--warmup 2] [--seed 7] [--long-clip | --setup | --cli]
 
 ``--base`` (default ``HEAD``) is read with ``git archive`` into a temporary
 directory; the other arm is the working tree's ``src/msgla``. A third arm, a
@@ -21,7 +21,10 @@ imports ``benchmarks/workloads.py`` (read-only, no bytecode written there)
 and calls ``LongClip.setup`` and ``LongClip.op`` with each arm's modules as
 the namespace that ``workloads.import_msgla`` would build. Each arm sets up
 its own 4 clips of 10 s from ``--seed`` and runs them in turn, so that every
-arm runs the same clip in a round. In-process ops run with the BLAS/OpenMP
+arm runs the same clip in a round. With ``--setup`` the op is
+``LongClip.setup`` itself: mixture synthesis and perturbed-oracle estimates
+for 4 clips of 10 s from ``--seed``, the in-process part of the benchmark's
+``long_clip`` ``setup_s``. In-process ops run with the BLAS/OpenMP
 pools pinned to one thread, as in the benchmark. With ``--cli`` the ops are
 fresh ``python -m msgla`` processes, as in the benchmark's ``cli_cold``
 workload: ``enhance --method nm`` on a 1 s WAV triple written once, and a
@@ -112,15 +115,27 @@ def load_workloads():
     return module
 
 
-def long_clip_op(package, seed: int, workloads, workdir: Path):
-    """The benchmark's ``long_clip`` op on ``package``, cycling over the clips it sets up."""
+def namespace(package) -> SimpleNamespace:
+    """``package`` and its modules, as ``workloads.import_msgla`` would return them."""
     modules = ("spectral", "geometry", "reconstruct", "metrics", "harness", "audio_io", "cli")
-    m = SimpleNamespace(
+    return SimpleNamespace(
         msgla=package, **{name: importlib.import_module(f"{package.__name__}.{name}") for name in modules}
     )
+
+
+def long_clip_op(package, seed: int, workloads, workdir: Path):
+    """The benchmark's ``long_clip`` op on ``package``, cycling over the clips it sets up."""
+    m = namespace(package)
     clip = workloads.LongClip()
     inputs = itertools.cycle(clip.setup(m, seed, False, workdir))
     return lambda: clip.op(m, next(inputs), True)
+
+
+def long_clip_setup(package, seed: int, workloads, workdir: Path):
+    """The benchmark's ``long_clip`` set-up on ``package``: 4 clips of 10 s and their estimates."""
+    m = namespace(package)
+    clip = workloads.LongClip()
+    return lambda: clip.setup(m, seed, False, workdir)
 
 
 def cli_ops(src: Path, work: Path, out: Path, seed: int) -> dict:
@@ -176,6 +191,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="grid or mixture seed, as in benchmarks/run.py")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--long-clip", action="store_true", help="time the benchmark's long_clip op")
+    mode.add_argument("--setup", action="store_true", help="time the benchmark's long_clip set-up")
     mode.add_argument("--cli", action="store_true", help="time fresh python -m msgla processes")
     args = parser.parse_args(argv)
     # As in the benchmark, before any arm imports numpy.
@@ -199,9 +215,10 @@ def main(argv=None) -> int:
         else:
             who = resource.RUSAGE_SELF
             packages = [load(f"msgla_ab_{n}", d) for n, d in zip(names, (base_dir, head_dir, base_dir))]
-            if args.long_clip:
+            if args.long_clip or args.setup:
                 workloads = load_workloads()
-                ops = {"long_clip": [long_clip_op(p, args.seed, workloads, tmp) for p in packages]}
+                kind, make = ("long_clip", long_clip_op) if args.long_clip else ("setup", long_clip_setup)
+                ops = {kind: [make(p, args.seed, workloads, tmp) for p in packages]}
             else:
                 ops = {"grid": [grid_op(p, args.seed) for p in packages]}
         for _ in range(args.warmup):
@@ -218,6 +235,7 @@ def main(argv=None) -> int:
     what = (
         "fresh python -m msgla processes" if args.cli
         else "the benchmark's long_clip op" if args.long_clip
+        else "the benchmark's long_clip set-up" if args.setup
         else "default grid"
     )
     print(
