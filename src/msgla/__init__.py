@@ -19,7 +19,6 @@ from .spectral import (  # noqa: E402
     StftConfig,
     Waveform,
     angular_distance,
-    consistency_project,
     decompose,
     istft,
     recompose,
@@ -73,7 +72,6 @@ __all__ = [
     "istft",
     "decompose",
     "recompose",
-    "consistency_project",
     "wrap_phase",
     "angular_distance",
     "CosineCandidates",

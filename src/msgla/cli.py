@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -33,7 +33,6 @@ from .geometry import (
     sine_phase_candidates,
 )
 from .harness import (
-    METHOD_NEEDS,
     EstimateProvider,
     ExperimentSpec,
     MixtureSpec,
@@ -45,7 +44,7 @@ from .harness import (
     run_experiment,
 )
 from .metrics import phase_cos_sim, phase_error_map, plain_snr, si_snr
-from .reconstruct import INIT_KINDS, METHODS, ReconConfig, enhance
+from .reconstruct import INIT_KINDS, METHOD_NEEDS, METHODS, ReconConfig, enhance
 from .spectral import StftConfig, Waveform, _check_invertible, angular_distance, decompose, stft
 
 log = logging.getLogger(__name__)
@@ -74,6 +73,12 @@ _pos_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and p
 _nonneg_float = _checked(float, lambda v: math.isfinite(v) and v >= 0, "finite and non-negative")
 # +inf dB is a noiseless mixture; NaN and -inf dB have no noise scale.
 _snr_db = _checked(float, lambda v: v > -math.inf, "a number or inf")
+
+# Tokens that every subparser reads as flag values, not flags: a minus sign,
+# then a digit, ".digit", "inf" or "nan". argparse's own matcher (Python 3.11)
+# takes only forms like -1 and -.5, so "--snr-grid -1e1" and "--snr-db -inf"
+# would fail. No msgla flag looks like a number.
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 class _ConfigFile(argparse.Action):
@@ -376,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"msgla {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    command = functools.partial(sub.add_parser, formatter_class=_HelpFormatter)
+
+    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, formatter_class=_HelpFormatter, **kwargs)
+        subparser._negative_number_matcher = _NEGATIVE_NUMBER
+        return subparser
 
     enh = command("enhance", help="reconstruct a speech phase for one noisy WAV")
     enh.add_argument("noisy", help="noisy input WAV (mono PCM16/float32)")

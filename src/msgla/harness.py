@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import cosine_phase_candidates, oracle_sign
 from .metrics import phase_cos_sim, plain_snr, si_snr
-from .reconstruct import Estimates, ReconConfig, enhance
+from .reconstruct import METHOD_NEEDS, Estimates, ReconConfig, enhance
 from .spectral import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, Waveform, decompose, stft, wrap_phase
 
 __all__ = [
@@ -38,22 +38,14 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-MIXTURE_KINDS = ("harmonic", "speech_shaped", "wav_pair")
-PROVIDER_KINDS = ("oracle", "noisy_baseline", "perturbed_oracle")
+MIXTURE_KINDS = ("harmonic", "speech_shaped")
+PROVIDER_KINDS = ("oracle", "perturbed_oracle")
 
 HARMONIC_PARTIALS = 8
 CLEAN_RMS = 0.05
 
 # Stable per-quantity stream tags so perturbations are independent.
 _QUANTITY_TAGS = {"mag_speech": 0, "mag_noise": 1, "phase_noise": 2}
-
-METHOD_NEEDS = {
-    "passthrough": (),
-    "gla": ("mag_speech",),
-    "nm": ("mag_speech", "mag_noise"),
-    "np": ("mag_speech", "phase_noise"),
-    "sign": ("mag_speech", "mag_noise"),
-}
 
 RESULT_COLUMNS = [
     "row_kind",
@@ -95,20 +87,18 @@ class MixtureTriple:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Recipe for one synthetic (or WAV-backed) mixture."""
+    """Recipe for one synthetic mixture: the arguments of :func:`synthesize_mixture`."""
 
     kind: str = "harmonic"
     snr_db: float = 0.0
     duration_s: float = 0.5
     sample_rate: int = DEFAULT_SAMPLE_RATE
     seed: int = 0
-    clean_path: str | None = None
-    noise_path: str | None = None
 
 
 @dataclass(frozen=True)
 class EstimateProvider:
-    """Source of spectral estimates: exact, degraded, or the noisy baseline."""
+    """Source of spectral estimates: the exact oracle or a seeded perturbation of it."""
 
     kind: str = "oracle"
     noise_std: float = 0.0
@@ -176,10 +166,6 @@ def synthesize_mixture(
     duration_s: float = 0.5,
     sample_rate: int = DEFAULT_SAMPLE_RATE,
     seed: int = 0,
-    *,
-    clean_path: str | None = None,
-    noise_path: str | None = None,
-    truncate: bool = False,
 ) -> MixtureTriple:
     """Deterministically build an additive clean/noise/noisy triple.
 
@@ -188,42 +174,17 @@ def synthesize_mixture(
     """
     if kind not in MIXTURE_KINDS:
         raise ValueError(f"kind must be one of {MIXTURE_KINDS}, got {kind!r}")
-    if kind == "wav_pair":
-        from .audio_io import read_wav
-
-        if clean_path is None or noise_path is None:
-            raise ValueError("wav_pair mixtures need clean_path and noise_path")
-        clean_wave = read_wav(clean_path)
-        noise_wave = read_wav(noise_path)
-        if clean_wave.sample_rate != noise_wave.sample_rate:
-            raise ValueError(
-                f"sample rate mismatch: {clean_wave.sample_rate} vs {noise_wave.sample_rate}"
-            )
-        if len(clean_wave) != len(noise_wave):
-            if not truncate:
-                raise ValueError(
-                    f"length mismatch ({len(clean_wave)} vs {len(noise_wave)}); "
-                    "pass truncate=True to clip both to the shorter signal"
-                )
-            n = min(len(clean_wave), len(noise_wave))
-            clean_wave = Waveform(clean_wave.samples[:n], clean_wave.sample_rate)
-            noise_wave = Waveform(noise_wave.samples[:n], noise_wave.sample_rate)
-        clean = clean_wave.samples
-        noise = noise_wave.samples
-        sample_rate = clean_wave.sample_rate
+    if duration_s <= 0:
+        raise ValueError("duration_s must be positive")
+    if sample_rate <= 0:
+        raise ValueError("sample_rate must be positive")
+    n = int(round(duration_s * sample_rate))
+    rng = np.random.default_rng(seed)
+    clean = _harmonic_clean(n, sample_rate, rng)
+    if kind == "harmonic":
+        noise = rng.standard_normal(n)
     else:
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        n = int(round(duration_s * sample_rate))
-        rng = np.random.default_rng(seed)
-        clean = _harmonic_clean(n, sample_rate, rng)
-        if kind == "harmonic":
-            noise = rng.standard_normal(n)
-        else:
-            noise = _speech_shaped_noise(clean, rng)
-
+        noise = _speech_shaped_noise(clean, rng)
     noise = _scale_noise(clean, noise, snr_db)
     return MixtureTriple(
         clean=Waveform(clean, sample_rate),
@@ -248,15 +209,8 @@ def perturb_phase(phase: np.ndarray, std: float, rng: np.random.Generator) -> np
 def _provided(provider: EstimateProvider, quantity: str, exact: dict, mixture_seed: int) -> np.ndarray:
     """One quantity as ``provider`` supplies it, from a mixture's exact spectra.
 
-    ``exact`` maps quantity names to the mixture's exact arrays; the noisy
-    baseline reads ``mag_mix`` from it, the oracles the quantity itself.
+    ``exact`` maps quantity names to the mixture's exact arrays.
     """
-    if provider.kind == "noisy_baseline":
-        if quantity == "mag_speech":
-            return exact["mag_mix"]
-        if quantity == "mag_noise":
-            return np.zeros_like(exact["mag_mix"])
-        raise ValueError("noisy_baseline provider cannot supply phase_noise")
     value = exact[quantity]
     if provider.kind == "perturbed_oracle" and provider.noise_std > 0:
         rng = np.random.default_rng([provider.seed, mixture_seed, _QUANTITY_TAGS[quantity]])
@@ -266,29 +220,16 @@ def _provided(provider: EstimateProvider, quantity: str, exact: dict, mixture_se
     return value
 
 
-def provide_estimates(
-    provider: EstimateProvider,
-    triple: MixtureTriple,
-    stft_cfg: StftConfig,
-    scope: tuple[str, ...] | None = None,
-) -> Estimates:
-    """Supply the quantities in ``scope`` as ``provider`` does in a grid cell, bit for bit.
+def provide_estimates(provider: EstimateProvider, triple: MixtureTriple, stft_cfg: StftConfig) -> Estimates:
+    """``mag_speech``, ``mag_noise`` and ``phase_noise`` as ``provider`` supplies them to a grid cell.
 
-    ``oracle`` passes the clean/noise spectra through as read-only arrays;
-    ``perturbed_oracle`` applies a seeded multiplicative log-normal
-    perturbation to magnitudes and an additive wrapped Gaussian to phases;
-    ``noisy_baseline`` supplies the (read-only) noisy magnitude as the speech
-    magnitude and zero as the noise magnitude (it has no noise phase).
-    The default scope is everything the provider can supply; asking the
-    baseline for ``phase_noise`` raises ``ValueError``.
+    Each array equals the grid's bit for bit. ``oracle`` passes the clean
+    and noise spectra through as read-only arrays; ``perturbed_oracle``
+    applies a seeded multiplicative log-normal perturbation to magnitudes and
+    an additive wrapped Gaussian to phases.
     """
-    if scope is None:
-        scope = ("mag_speech", "mag_noise") if provider.kind == "noisy_baseline" else tuple(_QUANTITY_TAGS)
-    unknown = [q for q in scope if q not in _QUANTITY_TAGS]
-    if unknown:
-        raise ValueError(f"unknown estimate quantities {unknown}")
     _, spectra = _spectra(triple.noisy, triple.clean, triple.noise, stft_cfg)
-    return Estimates(**{q: _provided(provider, q, spectra, triple.seed) for q in scope})
+    return Estimates(**{q: _provided(provider, q, spectra, triple.seed) for q in _QUANTITY_TAGS})
 
 
 def default_provider_pairs(
@@ -400,15 +341,7 @@ class _MixtureContext:
 
 
 def _mixture_context(spec: MixtureSpec, stft_cfg: StftConfig) -> _MixtureContext:
-    triple = synthesize_mixture(
-        spec.kind,
-        spec.snr_db,
-        spec.duration_s,
-        spec.sample_rate,
-        spec.seed,
-        clean_path=spec.clean_path,
-        noise_path=spec.noise_path,
-    )
+    triple = synthesize_mixture(spec.kind, spec.snr_db, spec.duration_s, spec.sample_rate, spec.seed)
     noisy_spec, spectra = _spectra(triple.noisy, triple.clean, triple.noise, stft_cfg)
     return _MixtureContext(
         spec=spec,
@@ -463,8 +396,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     (method, provider pair), follow the cell rows. Rows carry no
     ``fingerprint``; ``audio_io.persist_run`` stamps the run's into that column.
     """
-    if not spec.mixtures:
-        return ResultTable(columns=list(RESULT_COLUMNS), rows=[])
     cells = [
         (method, pair)
         for method in spec.methods

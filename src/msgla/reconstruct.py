@@ -46,7 +46,15 @@ __all__ = [
 ]
 
 INIT_KINDS = ("noisy", "zero", "random")
-METHODS = ("passthrough", "gla", "nm", "np", "sign")
+# The estimates each method of ``enhance`` consumes.
+METHOD_NEEDS = {
+    "passthrough": (),
+    "gla": ("mag_speech",),
+    "nm": ("mag_speech", "mag_noise"),
+    "np": ("mag_speech", "phase_noise"),
+    "sign": ("mag_speech", "mag_noise"),
+}
+METHODS = tuple(METHOD_NEEDS)
 
 @dataclass(frozen=True)
 class ReconConfig:
@@ -100,7 +108,6 @@ class ReconReport:
     final_inconsistency: float
     signal: np.ndarray
     per_iteration: list[IterationStats] = field(default_factory=list)
-    method: str = ""
 
 
 @dataclass
@@ -198,9 +205,7 @@ def _initial_mixture_phasor(cfg: ReconConfig, mixture, mag_mix, phase_mix):
     return phase, _unit(mixture, mag_mix, np.ones(mag_mix.shape, dtype=np.complex128))
 
 
-def _run(
-    method, mag, update, cfg: ReconConfig, stft_cfg, length, ref_phase, candidates, phase, z0=None
-):
+def _run(mag, update, cfg: ReconConfig, stft_cfg, length, ref_phase, candidates, phase, z0=None):
     """The loop shared by every method, on a unit phasor iterate ``z``.
 
     Each iteration projects the speech estimate ``mag * z`` onto consistent
@@ -235,7 +240,7 @@ def _run(
         if n < cfg.iterations:
             z = update(z, projected)
     final = stats[-1].inconsistency if cfg.trace else weighted_frobenius(speech - projected, stft_cfg)
-    return ReconReport(angles(z), final, signal, stats, method)
+    return ReconReport(angles(z), final, signal, stats)
 
 
 def gla(
@@ -265,7 +270,7 @@ def gla(
         noisy_phase = _estimate("noisy_phase", noisy_phase, mag.shape, nonnegative=False)
     length = origin_length if origin_length is not None else canonical_length(mag.shape[0], stft_cfg)
     phase = _initial_phase(cfg, mag.shape, noisy_phase)
-    return _run("gla", mag, _phasor, cfg, stft_cfg, length, ref_phase, candidates, phase)
+    return _run(mag, _phasor, cfg, stft_cfg, length, ref_phase, candidates, phase)
 
 
 def nm_msgla(
@@ -297,7 +302,7 @@ def nm_msgla(
         return _phasor(z, mixture - mag_noise * noise)
 
     phase, z0 = _initial_mixture_phasor(cfg, mixture, *decompose(noisy))
-    return _run("nm", mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, phase, z0)
+    return _run(mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, phase, z0)
 
 
 def np_msgla(
@@ -330,7 +335,7 @@ def np_msgla(
         return _phasor(z, mixture - implied_mag_noise * noise)
 
     phase, z0 = _initial_mixture_phasor(cfg, mixture, *decompose(noisy))
-    return _run("np", mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, phase, z0)
+    return _run(mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, phase, z0)
 
 
 def enhance(
@@ -389,5 +394,5 @@ def enhance(
                 cand = cosine_phase_candidates(mag_mix, phase_mix, mag, mag_noise)
                 phase = apply_sign_field(phase_mix, cand.abs_delta, sign)
             no_loop = replace(cfg, iterations=0)
-            report = _run(method, mag, None, no_loop, noisy.config, length, ref_phase, candidates, phase)
+            report = _run(mag, None, no_loop, noisy.config, length, ref_phase, candidates, phase)
     return Waveform(report.signal, noisy.sample_rate), report

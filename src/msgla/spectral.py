@@ -30,7 +30,6 @@ __all__ = [
     "istft",
     "decompose",
     "recompose",
-    "consistency_project",
     "project_values",
     "canonical_length",
 ]
@@ -140,10 +139,6 @@ class Waveform:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
 
 @dataclass
 class Spectrogram:
@@ -171,14 +166,6 @@ class Spectrogram:
         self.origin_length = int(self.origin_length)
         if self.origin_length < 0:
             raise ValueError("origin_length must be non-negative")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[1]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -379,18 +366,3 @@ def project_values(values, cfg: StftConfig, origin_length: int | None = None) ->
     if origin_length is None:
         origin_length = canonical_length(values.shape[0], cfg)
     return _analyze(_synthesize(values, cfg, origin_length), cfg)
-
-
-def consistency_project(
-    mag,
-    phase,
-    cfg: StftConfig,
-    origin_length: int | None = None,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
-) -> Spectrogram:
-    """Project ``mag * exp(j*phase)`` onto the set of consistent spectrograms."""
-    values = recompose(mag, phase)
-    if origin_length is None:
-        origin_length = canonical_length(values.shape[0], cfg)
-    projected = project_values(values, cfg, origin_length)
-    return Spectrogram(projected, cfg, origin_length, sample_rate)

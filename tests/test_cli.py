@@ -732,6 +732,8 @@ def _refuse_io(*args, **kwargs):
         ("analyze", None, ["--snr-db", "nan"], "--snr-db"),
         ("analyze", None, ["--snr-db=-inf"], "--snr-db"),
         ("analyze", {"snr_db": "nan"}, [], "--snr-db"),
+        ("oracle-exp", None, ["--snr-grid", "-inf"], "--snr-grid: must be a number"),
+        ("analyze", None, ["--snr-db", "-inf"], "--snr-db: must be a number"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_work(
@@ -755,6 +757,30 @@ def test_bad_values_are_usage_errors_before_any_work(
     assert main([*argv, *flags]) == 2
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "config", "flags", "key", "value"),
+    [
+        ("oracle-exp", None, ["--snr-grid", "-1e1", "0"], "snr_grid", [-10.0, 0.0]),
+        ("oracle-exp", {"snr_grid": [-1e-05, 0]}, [], "snr_grid", [-1e-05, 0.0]),
+        ("analyze", None, ["--snr-db", "-1e-3"], "snr_db", -1e-3),
+    ],
+)
+def test_number_like_flag_values_are_values(mixture_files, command, config, flags, key, value):
+    # argparse on its own reads "-1e1" and "-1e-3" as unknown flags.
+    tmp_path, paths, _ = mixture_files
+    out = tmp_path / "out"
+    argv = {
+        "oracle-exp": ["oracle-exp", "--out-dir", str(out), "--seeds", "0", "--methods", "gla", "--jobs", "1"],
+        "analyze": ["analyze", "--clean", str(paths["clean"]), "--noise", str(paths["noise"]), "--out-dir", str(out)],
+    }[command]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main([*argv, *flags]) == 0
+    written = json.loads((out / ("manifest.json" if command == "oracle-exp" else "summary.json")).read_text())
+    assert written["config"][key] == value
 
 
 @pytest.mark.parametrize("argv", MINIMAL_ARGVS)

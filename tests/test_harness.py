@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from msgla import harness
-from msgla.audio_io import write_wav
 from msgla.geometry import cosine_phase_candidates, oracle_sign
 from msgla.harness import (
     METHOD_NEEDS,
@@ -17,7 +16,7 @@ from msgla.harness import (
 )
 from msgla.metrics import metric_row, phase_cos_sim, si_snr, weighted_frobenius
 from msgla.reconstruct import METHODS, Estimates, ReconConfig, enhance
-from msgla.spectral import StftConfig, Waveform, decompose, stft
+from msgla.spectral import StftConfig, decompose, stft
 
 CFG = StftConfig()
 
@@ -62,34 +61,6 @@ def test_mixture_additive_in_stft_domain():
         h_mix = stft(tri.noisy, CFG).values
         h_sum = stft(tri.clean, CFG).values + stft(tri.noise, CFG).values
         assert np.max(np.abs(h_mix - h_sum)) < 1e-10 * np.max(np.abs(h_mix))
-
-
-def test_mixture_wav_pair(tmp_path):
-    rng = np.random.default_rng(7)
-    clean = Waveform(rng.standard_normal(4000) * 0.05, 16000)
-    noise = Waveform(rng.standard_normal(4000) * 0.05, 16000)
-    write_wav(clean, tmp_path / "c.wav")
-    write_wav(noise, tmp_path / "n.wav")
-    tri = synthesize_mixture(
-        "wav_pair", 3.0, seed=0, clean_path=tmp_path / "c.wav", noise_path=tmp_path / "n.wav"
-    )
-    measured = 10 * np.log10(np.sum(tri.clean.samples**2) / np.sum(tri.noise.samples**2))
-    assert abs(measured - 3.0) < 1e-9
-
-    short = Waveform(noise.samples[:1000], 16000)
-    write_wav(short, tmp_path / "short.wav")
-    with pytest.raises(ValueError, match="length mismatch"):
-        synthesize_mixture(
-            "wav_pair", 0.0, clean_path=tmp_path / "c.wav", noise_path=tmp_path / "short.wav"
-        )
-    tri2 = synthesize_mixture(
-        "wav_pair",
-        0.0,
-        clean_path=tmp_path / "c.wav",
-        noise_path=tmp_path / "short.wav",
-        truncate=True,
-    )
-    assert len(tri2.clean) == 1000
 
 
 def test_mixture_bad_kind():
@@ -154,37 +125,19 @@ def test_perturbed_oracle_properties():
     assert np.array_equal(a.mag_speech, b.mag_speech)
 
 
-def test_noisy_baseline_provider():
-    tri = synthesize_mixture("harmonic", 0.0, 0.25, 16000, 11)
-    est = provide_estimates(
-        EstimateProvider("noisy_baseline"), tri, CFG, ("mag_speech", "mag_noise")
-    )
-    mag_mix, _ = decompose(stft(tri.noisy, CFG))
-    assert np.array_equal(est.mag_speech, mag_mix)
-    assert np.all(est.mag_noise == 0)
-    # the default scope is what the baseline can supply: both magnitudes, no noise phase
-    default = provide_estimates(EstimateProvider("noisy_baseline"), tri, CFG)
-    assert np.array_equal(default.mag_speech, mag_mix) and np.all(default.mag_noise == 0)
-    assert default.phase_noise is None
-    with pytest.raises(ValueError, match="cannot supply"):
-        provide_estimates(EstimateProvider("noisy_baseline"), tri, CFG, ("phase_noise",))
-
-
 @pytest.mark.parametrize(
     "provider",
     [
         EstimateProvider("oracle"),
         EstimateProvider("perturbed_oracle", 0.3, 4),
-        EstimateProvider("noisy_baseline"),
     ],
-    ids=["oracle", "perturbed_oracle", "noisy_baseline"],
+    ids=["oracle", "perturbed_oracle"],
 )
 def test_provide_estimates_equals_the_grids_estimates(provider):
     tri = synthesize_mixture("speech_shaped", -3.0, 0.25, 16000, 12)
     _, spectra = harness._spectra(tri.noisy, tri.clean, tri.noise, CFG)
     est = provide_estimates(provider, tri, CFG)
-    methods = ("nm",) if provider.kind == "noisy_baseline" else ("nm", "np")
-    for method in methods:
+    for method in ("nm", "np"):
         grid = harness._estimates(method, spectra, (provider, provider), tri.seed)
         for quantity in METHOD_NEEDS[method]:
             assert getattr(est, quantity).tobytes() == getattr(grid, quantity).tobytes()
@@ -286,7 +239,7 @@ def test_degradation_monotone():
 
 def _reuse_spec():
     pairs = default_provider_pairs(0.3, 0) + [
-        (EstimateProvider("noisy_baseline"), EstimateProvider("perturbed_oracle", 0.5, 2))
+        (EstimateProvider("perturbed_oracle", 0.1, 1), EstimateProvider("perturbed_oracle", 0.5, 2))
     ]
     return ExperimentSpec(
         mixtures=[
@@ -315,10 +268,10 @@ def _cell_by_cell(spec):
                 labels = ("-", "-")
                 if pair is not None:
                     labels = (pair[0].label(), pair[1].label())
-                    est.mag_speech = provide_estimates(pair[0], triple, CFG, ("mag_speech",)).mag_speech
-                    if needs[1:]:
-                        noise = provide_estimates(pair[1], triple, CFG, needs[1:])
-                        est.mag_noise, est.phase_noise = noise.mag_noise, noise.phase_noise
+                    est.mag_speech = provide_estimates(pair[0], triple, CFG).mag_speech
+                    noise = provide_estimates(pair[1], triple, CFG)
+                    for quantity in needs[1:]:
+                        setattr(est, quantity, getattr(noise, quantity))
                 if method == "sign":
                     cand = cosine_phase_candidates(mag_mix, phase_mix, est.mag_speech, est.mag_noise)
                     est.sign = oracle_sign(cand, phase_speech)

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import sys
 import threading
 from dataclasses import astuple, replace
@@ -26,9 +28,9 @@ from msgla.spectral import (
     StftConfig,
     Waveform,
     angular_distance,
-    consistency_project,
     decompose,
     istft,
+    project_values,
     recompose,
     stft,
 )
@@ -213,8 +215,8 @@ def test_magnitude_distance_nonincreasing_in_weighted_norm():
     values = []
     for k in range(31):
         phase = gla(mag, ReconConfig(iterations=k, init="zero"), CFG).final_phase
-        projected = consistency_project(mag, phase, CFG)
-        gap = mag - np.abs(projected.values)
+        projected = project_values(recompose(mag, phase), CFG)
+        gap = mag - np.abs(projected)
         values.append(float(np.sqrt(np.sum(weights * gap**2))))
     assert np.all(np.diff(values) <= 1e-9)
 
@@ -223,7 +225,6 @@ def test_enhance_passthrough_recovers_noisy_signal():
     tri, noisy, *_ = _mixture(seed=13)
     wave, report = enhance(noisy, "passthrough")
     assert np.max(np.abs(wave.samples - tri.noisy.samples)) < 1e-10
-    assert report.method == "passthrough"
     assert np.max(np.abs(istft(noisy).samples - tri.noisy.samples)) < 1e-10
 
 
@@ -739,17 +740,62 @@ def test_enhance_runs_each_loop_through_its_public_function(monkeypatch, method)
     assert sorted(calls) == sorted(["decompose", *loop])
 
 
-def test_benchmark_tracer_names_exist_in_reconstruct():
+def _benchmark_source(name: str) -> ast.Module:
     # Parsed, not imported, so that no bytecode is written under benchmarks/.
-    tree = ast.parse((Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py").read_text())
-    layers = next(
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
-    )
-    assert layers["reconstruct"]
-    for name in layers["reconstruct"]:
-        assert callable(getattr(reconstruct, name, None)), name
+    return ast.parse((Path(__file__).resolve().parents[1] / "benchmarks" / name).read_text())
+
+
+def _msgla_module(name: str):
+    return importlib.import_module("msgla" if name == "msgla" else f"msgla.{name}")
+
+
+def test_benchmark_tracer_names_exist_in_reconstruct():
+    # Every name the benchmark reaches in msgla: the functions the tracer
+    # wraps (LAYERS), the parameters its EXTRAS read from a call's bound
+    # arguments, and each m.<module>.<name> of the tracer and the workloads.
+    tracer = _benchmark_source("tracer.py")
+    assigned = {
+        target.id: node.value
+        for node in tracer.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    layers = ast.literal_eval(assigned["LAYERS"])
+    assert layers["reconstruct"] and layers["spectral"]
+    for module, names in layers.items():
+        for name in names:
+            assert callable(getattr(_msgla_module(module), name, None)), f"{module}.{name}"
+
+    functions = {node.name: node for node in tracer.body if isinstance(node, ast.FunctionDef)}
+    extras = assigned["EXTRAS"]
+    assert extras.keys
+    for key, extra in zip(extras.keys, extras.values):
+        module, name = ast.literal_eval(key).split(".")
+        parameters = inspect.signature(getattr(_msgla_module(module), name)).parameters
+        for node in ast.walk(functions[extra.id]):
+            # bound.arguments["x"] or bound.arguments.get("x")
+            if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "arguments":
+                read = node.slice
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+                if getattr(node.func.value, "attr", None) != "arguments":
+                    continue
+                read = node.args[0]
+            else:
+                continue
+            assert ast.literal_eval(read) in parameters, f"{module}.{name}({ast.literal_eval(read)})"
+
+    reached = {
+        (node.value.attr, node.attr)
+        for source in ("tracer.py", "workloads.py")
+        for node in ast.walk(_benchmark_source(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and getattr(node.value.value, "id", None) == "m"
+    }
+    assert ("harness", "provide_estimates") in reached
+    for module, name in reached:
+        assert hasattr(_msgla_module(module), name), f"m.{module}.{name}"
 
 
 def test_enhance_waveforms_stay_with_their_threads():
