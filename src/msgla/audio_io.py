@@ -28,6 +28,8 @@ ENCODINGS = ("float32", "pcm16")
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# Rows that _write_csv formats at once; it bounds the memory its cells take.
+_CSV_CHUNK_ROWS = 8192
 
 
 def read_wav(path) -> Waveform:
@@ -121,6 +123,23 @@ def format_number(value) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def _write_csv(path, columns, header=None) -> None:
+    """Write equal-length 1-D arrays as CSV columns, formatted column by column.
+
+    Float cells get :func:`format_number`'s 9 significant digits, others their
+    ``str``: the bytes ``csv.writer`` writes for the same cells, CRLF included.
+    """
+    with Path(path).open("w", newline="") as handle:
+        if header:
+            handle.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            parts = [column[start : start + _CSV_CHUNK_ROWS] for column in columns]
+            cells = [
+                [f"{v:.9g}" for v in p.tolist()] if p.dtype.kind == "f" else map(str, p.tolist()) for p in parts
+            ]
+            handle.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 @dataclass

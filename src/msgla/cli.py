@@ -13,7 +13,6 @@ alone. Set ``MSGLA_LOG`` to a level name (e.g. ``info``) for progress logging.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio_io import RunArtifact, format_number, persist_run, read_wav, write_wav
+from .audio_io import RunArtifact, _write_csv, persist_run, read_wav, write_wav
 from .geometry import (
     DEFAULT_FLOOR,
     cosine_phase_candidates,
@@ -37,13 +36,15 @@ from .harness import (
     ExperimentSpec,
     MixtureSpec,
     _estimates,
+    _noisy_scores,
     _scale_noise,
+    _scores,
     _spectra,
     default_provider_pairs,
     perturb_phase,
     run_experiment,
 )
-from .metrics import phase_cos_sim, phase_error_map, plain_snr, si_snr
+from .metrics import phase_error_map
 from .reconstruct import INIT_KINDS, METHOD_NEEDS, METHODS, ReconConfig, enhance
 from .spectral import StftConfig, Waveform, _check_invertible, angular_distance, decompose, stft
 
@@ -168,10 +169,9 @@ def cmd_enhance(cfg: dict, stft_cfg: StftConfig) -> int:
     noise = _read_aligned(cfg["oracle_noise"], noisy, "--oracle-noise", "noisy input")
     noisy_spec, spectra = _spectra(noisy, clean, noise, stft_cfg)
     estimates = _estimates(method, spectra, (provider, provider), 0)
-    phase_speech = spectra.get("phase_speech")
 
     recon_cfg = ReconConfig(iterations=cfg["iters"], init=cfg["init"], seed=cfg["seed"], trace=True)
-    wave, report = enhance(noisy_spec, method, estimates, recon_cfg, ref_phase=phase_speech)
+    wave, report = enhance(noisy_spec, method, estimates, recon_cfg, ref_phase=spectra.get("phase_speech"))
     out_path = Path(cfg["out"])
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_wav(wave, out_path, cfg["encoding"])
@@ -192,16 +192,9 @@ def cmd_enhance(cfg: dict, stft_cfg: StftConfig) -> int:
         ],
     }
     if clean is not None:
-        si_snr_out, si_snr_noisy = si_snr(wave, clean), si_snr(noisy, clean)
-        improvement = si_snr_out - si_snr_noisy
-        summary["metrics"].update(
-            si_snr_db=si_snr_out,
-            snr_db_plain=plain_snr(wave, clean),
-            si_snr_noisy_db=si_snr_noisy,
-            si_snr_improvement_db=improvement,
-            phase_cos_sim=phase_cos_sim(report.final_phase, phase_speech),
-            phase_cos_sim_noisy=phase_cos_sim(spectra["phase_mix"], phase_speech),
-        )
+        scores = _scores(wave, report, clean, spectra, _noisy_scores(noisy, clean, spectra))
+        improvement = scores["si_snr_db"] - scores["si_snr_noisy_db"]
+        summary["metrics"].update(scores, si_snr_improvement_db=improvement)
         log.info("si-snr improvement: %.2f dB", improvement)
     metrics_out = cfg["metrics_out"]
     metrics_path = Path(metrics_out) if metrics_out else out_path.with_suffix(".metrics.json")
@@ -253,17 +246,10 @@ def cmd_candidates(cfg: dict, stft_cfg: StftConfig) -> int:
 
     out_path = Path(cfg["out"])
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    columns = ["frame", "bin", "mag_mix", "mag_speech", "mag_noise", *extra, "candidate_error", "valid"]
-    frames, bins = mag_mix.shape
-    with out_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for m in range(frames):
-            for k in range(bins):
-                row = [m, k, mag_mix[m, k], mag_speech[m, k], mag_noise[m, k]]
-                row += [arr[m, k] for arr in extra.values()]
-                row += [error[m, k], int(cand.validity_mask[m, k])]
-                writer.writerow([format_number(v) for v in row])
+    frame, bin_ = np.indices(mag_mix.shape)
+    columns = dict(frame=frame, bin=bin_, mag_mix=mag_mix, mag_speech=mag_speech, mag_noise=mag_noise)
+    columns.update(extra, candidate_error=error, valid=cand.validity_mask.astype(int))
+    _write_csv(out_path, [column.ravel() for column in columns.values()], header=list(columns))
 
     # Audit bins that carry real energy (relative to each spectrogram's own
     # scale) and where the two candidates are genuinely distinct; collinear
@@ -289,13 +275,6 @@ def cmd_candidates(cfg: dict, stft_cfg: StftConfig) -> int:
         f"max error {summary['max_error_audited']}"
     )
     return 0
-
-
-def _write_grid(path: Path, grid: np.ndarray) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in grid:
-            writer.writerow([format_number(float(v)) for v in row])
 
 
 def cmd_analyze(cfg: dict, stft_cfg: StftConfig) -> int:
@@ -334,8 +313,8 @@ def cmd_analyze(cfg: dict, stft_cfg: StftConfig) -> int:
 
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_grid(out_dir / "speech_phase_error.csv", speech_map)
-    _write_grid(out_dir / "noise_phase_error.csv", noise_map)
+    _write_csv(out_dir / "speech_phase_error.csv", speech_map.T)
+    _write_csv(out_dir / "noise_phase_error.csv", noise_map.T)
     summary = {
         "version": __version__,
         "config": cfg,

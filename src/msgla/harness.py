@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import cosine_phase_candidates, oracle_sign
 from .metrics import phase_cos_sim, plain_snr, si_snr
-from .reconstruct import METHOD_NEEDS, Estimates, ReconConfig, enhance
+from .reconstruct import METHOD_NEEDS, Estimates, ReconConfig, ReconReport, enhance
 from .spectral import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, Waveform, decompose, stft, wrap_phase
 
 __all__ = [
@@ -196,9 +196,8 @@ def synthesize_mixture(
 
 
 def perturb_magnitude(mag: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
-    """Multiplicative log-normal degradation, clamped to stay non-negative."""
-    perturbed = mag * np.exp(std * rng.standard_normal(mag.shape))
-    return np.maximum(perturbed, 0.0)
+    """Multiplicative log-normal degradation; a non-negative ``mag`` stays non-negative."""
+    return mag * np.exp(std * rng.standard_normal(mag.shape))
 
 
 def perturb_phase(phase: np.ndarray, std: float, rng: np.random.Generator) -> np.ndarray:
@@ -228,8 +227,11 @@ def provide_estimates(provider: EstimateProvider, triple: MixtureTriple, stft_cf
     applies a seeded multiplicative log-normal perturbation to magnitudes and
     an additive wrapped Gaussian to phases.
     """
-    _, spectra = _spectra(triple.noisy, triple.clean, triple.noise, stft_cfg)
-    return Estimates(**{q: _provided(provider, q, spectra, triple.seed) for q in _QUANTITY_TAGS})
+    exact = {"mag_speech": np.abs(stft(triple.clean, stft_cfg).values)}
+    exact["mag_noise"], exact["phase_noise"] = decompose(stft(triple.noise, stft_cfg))
+    for array in exact.values():
+        array.setflags(write=False)
+    return Estimates(**{q: _provided(provider, q, exact, triple.seed) for q in _QUANTITY_TAGS})
 
 
 def default_provider_pairs(
@@ -322,9 +324,28 @@ def _estimates(
     return estimates
 
 
+def _noisy_scores(noisy: Waveform, clean: Waveform, spectra: dict[str, np.ndarray]) -> dict[str, float]:
+    """The mixture's own SI-SNR and phase cosine similarity, the baseline of :func:`_scores`."""
+    return {
+        "si_snr_noisy_db": si_snr(noisy, clean),
+        "phase_cos_sim_noisy": phase_cos_sim(spectra["phase_mix"], spectra["phase_speech"]),
+    }
+
+
+def _scores(enhanced: Waveform, report: ReconReport, clean: Waveform, spectra, noisy_scores) -> dict:
+    """The six scores a grid row and the ``enhance`` metrics report, ``noisy_scores`` among them."""
+    return {
+        "si_snr_db": si_snr(enhanced, clean),
+        "snr_db_plain": plain_snr(enhanced, clean),
+        "phase_cos_sim": phase_cos_sim(report.final_phase, spectra["phase_speech"]),
+        "inconsistency": report.final_inconsistency,
+        **noisy_scores,
+    }
+
+
 @dataclass
 class _MixtureContext:
-    """One mixture's spectra, computed once and shared by all of its cells.
+    """One mixture's spectra and baseline scores, computed once and shared by all of its cells.
 
     ``spectra`` holds the read-only magnitude and phase of the noisy, clean
     and noise STFTs (``mag_mix``, ``phase_mix``, ``mag_speech``, ...).
@@ -335,22 +356,15 @@ class _MixtureContext:
     triple: MixtureTriple
     noisy_spec: Spectrogram
     spectra: dict[str, np.ndarray]
-    si_snr_noisy: float
-    cos_sim_noisy: float
+    noisy_scores: dict[str, float]
     supplied: dict[tuple[EstimateProvider, str], np.ndarray] = field(default_factory=dict)
 
 
 def _mixture_context(spec: MixtureSpec, stft_cfg: StftConfig) -> _MixtureContext:
     triple = synthesize_mixture(spec.kind, spec.snr_db, spec.duration_s, spec.sample_rate, spec.seed)
     noisy_spec, spectra = _spectra(triple.noisy, triple.clean, triple.noise, stft_cfg)
-    return _MixtureContext(
-        spec=spec,
-        triple=triple,
-        noisy_spec=noisy_spec,
-        spectra=spectra,
-        si_snr_noisy=si_snr(triple.noisy, triple.clean),
-        cos_sim_noisy=phase_cos_sim(spectra["phase_mix"], spectra["phase_speech"]),
-    )
+    scores = _noisy_scores(triple.noisy, triple.clean, spectra)
+    return _MixtureContext(spec, triple, noisy_spec, spectra, scores)
 
 
 def _run_cell(
@@ -375,12 +389,7 @@ def _run_cell(
         "mixture_kind": ctx.spec.kind,
         "mixture_seed": ctx.spec.seed,
         "snr_db": ctx.spec.snr_db,
-        "si_snr_db": si_snr(enhanced, ctx.triple.clean),
-        "snr_db_plain": plain_snr(enhanced, ctx.triple.clean),
-        "phase_cos_sim": phase_cos_sim(report.final_phase, ctx.spectra["phase_speech"]),
-        "inconsistency": report.final_inconsistency,
-        "si_snr_noisy_db": ctx.si_snr_noisy,
-        "phase_cos_sim_noisy": ctx.cos_sim_noisy,
+        **_scores(enhanced, report, ctx.triple.clean, ctx.spectra, ctx.noisy_scores),
     }
 
 

@@ -27,7 +27,6 @@ from .spectral import (
     _analyze,
     _expj,
     _synthesize,
-    canonical_length,
     decompose,
     project_values,
     wrap_phase,
@@ -120,17 +119,6 @@ class Estimates:
     sign: object | None = None
 
 
-def _initial_phase(cfg: ReconConfig, shape, noisy_phase) -> np.ndarray:
-    if cfg.init == "noisy":
-        if noisy_phase is None:
-            raise ValueError("init 'noisy' requires the mixture phase")
-        return np.array(noisy_phase, dtype=np.float64)
-    if cfg.init == "zero":
-        return np.zeros(shape)
-    rng = np.random.default_rng(cfg.seed)
-    return rng.uniform(-np.pi, np.pi, size=shape)
-
-
 def _stats(
     n: int,
     speech_values: np.ndarray,
@@ -160,9 +148,9 @@ def _stats(
 
 
 def _estimate(name: str, value, shape, *, nonnegative: bool = True) -> np.ndarray:
-    """Validate one caller-supplied estimate; ``shape=None`` skips the shape check."""
+    """Validate one caller-supplied estimate against the mixture's ``shape``."""
     arr = np.asarray(value, dtype=np.float64)
-    if shape is not None and arr.shape != shape:
+    if arr.shape != shape:
         raise ValueError(f"{name} shape {arr.shape} does not match spectrogram shape {shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
@@ -193,32 +181,32 @@ def _phasor(z: np.ndarray, values: np.ndarray) -> np.ndarray:
     return _unit(values, np.abs(values), z.copy())
 
 
-def _initial_mixture_phasor(cfg: ReconConfig, mixture, mag_mix, phase_mix):
-    """Initial phase of nm/np and, for init 'noisy', its phasor.
+def _start(cfg: ReconConfig, noisy: Spectrogram) -> tuple[np.ndarray, np.ndarray]:
+    """Initial phase of every loop and its phasor ``z0``: for init 'noisy' the mixture
+    phase and ``mixture / |mixture|`` (1 at exact zeros), else ``exp(1j * phase)``."""
+    shape = noisy.values.shape
+    if cfg.init == "noisy":
+        mag_mix, phase = decompose(noisy)
+        return phase, _unit(noisy.values, mag_mix, np.ones(shape, dtype=np.complex128))
+    rng = np.random.default_rng(cfg.seed)
+    phase = np.zeros(shape) if cfg.init == "zero" else rng.uniform(-np.pi, np.pi, size=shape)
+    return phase, _expj(phase)
 
-    That phasor is ``mixture / mag_mix`` (1 at exact zeros), normalized
-    without ``exp``; other inits leave it to ``_run``.
-    """
-    phase = _initial_phase(cfg, mag_mix.shape, phase_mix)
-    if cfg.init != "noisy":
-        return phase, None
-    return phase, _unit(mixture, mag_mix, np.ones(mag_mix.shape, dtype=np.complex128))
 
-
-def _run(mag, update, cfg: ReconConfig, stft_cfg, length, ref_phase, candidates, phase, z0=None):
+def _run(noisy: Spectrogram, mag, update, cfg: ReconConfig, ref_phase, candidates, phase, z0):
     """The loop shared by every method, on a unit phasor iterate ``z``.
 
     Each iteration projects the speech estimate ``mag * z`` onto consistent
-    spectrograms and hands the projection to ``update(z, projected)``, which
-    returns the next phasor. One last pass projects the final iterate through
-    its synthesized signal, which measures the final inconsistency and goes
-    on the report. Angles are formed once, for ``final_phase``, and per
-    iteration only when a traced run is given ``candidates``. A bin whose
-    phasor never moved reports ``phase`` exactly as given. ``z0``, the
-    initial phasor, defaults to ``exp(1j * phase)``. A traced run forms the
-    phasor of ``ref_phase`` once and compares every iterate with it.
+    spectrograms of the mixture's STFT grid and hands the projection to
+    ``update(z, projected)``, which returns the next phasor. One last pass
+    projects the final iterate through its synthesized signal, which measures
+    the final inconsistency and goes on the report. Angles are formed once,
+    for ``final_phase``, and per iteration only when a traced run is given
+    ``candidates``. A bin whose phasor never moved from ``z0`` reports
+    ``phase`` exactly as given. A traced run forms the phasor of
+    ``ref_phase`` once and compares every iterate with it.
     """
-    z0 = _expj(phase) if z0 is None else z0
+    stft_cfg, length = noisy.config, noisy.origin_length
     ref = None
     if cfg.trace and ref_phase is not None:
         ref = _expj(_estimate("ref_phase", ref_phase, mag.shape, nonnegative=False))
@@ -244,33 +232,23 @@ def _run(mag, update, cfg: ReconConfig, stft_cfg, length, ref_phase, candidates,
 
 
 def gla(
+    noisy: Spectrogram,
     mag_speech,
     cfg: ReconConfig | None = None,
-    stft_cfg: StftConfig | None = None,
     *,
-    origin_length: int | None = None,
-    noisy_phase=None,
     ref_phase=None,
     candidates=None,
 ) -> ReconReport:
     """Classical Griffin-Lim: repeatedly take the phase of the projection.
 
-    At bins where the projection is exactly zero the previous phase is
-    retained (zero magnitude carries no phase information), so an all-zero
-    magnitude leaves the initialization untouched.
+    The mixture ``noisy`` gives the STFT grid and, for init 'noisy', the
+    initial phase. At bins where the projection is exactly zero the previous
+    phase is retained (zero magnitude carries no phase information), so an
+    all-zero magnitude leaves the initialization untouched.
     """
+    mag_speech = _estimate("mag_speech", mag_speech, noisy.values.shape)
     cfg = cfg if cfg is not None else ReconConfig()
-    stft_cfg = stft_cfg if stft_cfg is not None else StftConfig()
-    mag = _estimate("mag_speech", mag_speech, None)
-    if mag.ndim != 2 or mag.shape[1] != stft_cfg.n_bins:
-        raise ValueError(
-            f"mag_speech shape {mag.shape} does not fit config bins {stft_cfg.n_bins}"
-        )
-    if noisy_phase is not None:
-        noisy_phase = _estimate("noisy_phase", noisy_phase, mag.shape, nonnegative=False)
-    length = origin_length if origin_length is not None else canonical_length(mag.shape[0], stft_cfg)
-    phase = _initial_phase(cfg, mag.shape, noisy_phase)
-    return _run(mag, _phasor, cfg, stft_cfg, length, ref_phase, candidates, phase)
+    return _run(noisy, mag_speech, _phasor, cfg, ref_phase, candidates, *_start(cfg, noisy))
 
 
 def nm_msgla(
@@ -301,8 +279,7 @@ def nm_msgla(
         noise = _phasor(z, project_values(mixture - mag_speech * speech, stft_cfg, length))
         return _phasor(z, mixture - mag_noise * noise)
 
-    phase, z0 = _initial_mixture_phasor(cfg, mixture, *decompose(noisy))
-    return _run(mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, phase, z0)
+    return _run(noisy, mag_speech, update, cfg, ref_phase, candidates, *_start(cfg, noisy))
 
 
 def np_msgla(
@@ -334,8 +311,7 @@ def np_msgla(
         implied_mag_noise = np.abs(project_values(mixture - mag_speech * speech, stft_cfg, length))
         return _phasor(z, mixture - implied_mag_noise * noise)
 
-    phase, z0 = _initial_mixture_phasor(cfg, mixture, *decompose(noisy))
-    return _run(mag_speech, update, cfg, stft_cfg, length, ref_phase, candidates, phase, z0)
+    return _run(noisy, mag_speech, update, cfg, ref_phase, candidates, *_start(cfg, noisy))
 
 
 def enhance(
@@ -376,23 +352,18 @@ def enhance(
     def needed(name: str) -> np.ndarray:
         return _estimate(name, present(name), noisy.values.shape)
 
-    traced = {"ref_phase": ref_phase, "candidates": candidates}
-    if method == "nm":
-        report = nm_msgla(noisy, present("mag_speech"), present("mag_noise"), cfg, **traced)
-    elif method == "np":
-        report = np_msgla(noisy, present("mag_speech"), present("phase_noise"), cfg, **traced)
+    # Looked up per call: the names may be rebound on the module (a tracer does).
+    loops = {"gla": gla, "nm": nm_msgla, "np": np_msgla}
+    if method in loops:
+        needs = [present(name) for name in METHOD_NEEDS[method]]
+        report = loops[method](noisy, *needs, cfg, ref_phase=ref_phase, candidates=candidates)
     else:
-        mag_mix, phase_mix = decompose(noisy)
+        mag_mix, phase = decompose(noisy)
         mag = mag_mix if method == "passthrough" and est.mag_speech is None else needed("mag_speech")
-        length = noisy.origin_length
-        if method == "gla":
-            report = gla(mag, cfg, noisy.config, origin_length=length, noisy_phase=phase_mix, **traced)
-        else:
-            phase = phase_mix
-            if method == "sign":
-                mag_noise, sign = needed("mag_noise"), present("sign")
-                cand = cosine_phase_candidates(mag_mix, phase_mix, mag, mag_noise)
-                phase = apply_sign_field(phase_mix, cand.abs_delta, sign)
-            no_loop = replace(cfg, iterations=0)
-            report = _run(mag, None, no_loop, noisy.config, length, ref_phase, candidates, phase)
+        if method == "sign":
+            mag_noise, sign = needed("mag_noise"), present("sign")
+            cand = cosine_phase_candidates(mag_mix, phase, mag, mag_noise)
+            phase = apply_sign_field(phase, cand.abs_delta, sign)
+        no_loop = replace(cfg, iterations=0)
+        report = _run(noisy, mag, None, no_loop, ref_phase, candidates, phase, _expj(phase))
     return Waveform(report.signal, noisy.sample_rate), report

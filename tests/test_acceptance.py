@@ -30,7 +30,7 @@ from msgla.harness import (
 )
 from msgla.metrics import phase_cos_sim, si_snr
 from msgla.reconstruct import Estimates, ReconConfig, enhance, gla, nm_msgla, np_msgla
-from msgla.spectral import StftConfig, Waveform, decompose, istft, stft, wrap_phase
+from msgla.spectral import Spectrogram, StftConfig, Waveform, canonical_length, decompose, istft, stft, wrap_phase
 
 CFG = StftConfig()
 
@@ -121,7 +121,8 @@ def test_criterion_4_gla_monotonicity():
     worst_step = -np.inf
     for seed in range(10):
         mag = np.random.default_rng(seed).uniform(0.0, 1.0, size=(17, CFG.n_bins))
-        report = gla(mag, ReconConfig(iterations=100, init="zero"), CFG)
+        noisy = Spectrogram(mag, CFG, canonical_length(len(mag), CFG))
+        report = gla(noisy, mag, ReconConfig(iterations=100, init="zero"))
         seq = np.array([s.inconsistency for s in report.per_iteration])
         assert seq.shape[0] == 101
         worst_step = max(worst_step, float(np.diff(seq).max()))

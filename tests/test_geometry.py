@@ -202,6 +202,19 @@ def test_oracle_sign_trivial_directions():
     assert np.all(minus.values[cand.abs_delta > 1e-9] == -1.0)
 
 
+def test_oracle_sign_resolves_ties_to_plus_one():
+    # Where |delta| is exactly zero the two candidates coincide, so every
+    # reference phase is equally near both: the sign reads +1.
+    rng = np.random.default_rng(6)
+    mag = rng.uniform(0.1, 2.0, (5, 7))
+    mag_speech = np.where(rng.random((5, 7)) < 0.3, 0.0, mag)  # below the floor, or
+    mag_noise = np.zeros((5, 7))  # a noiseless bin: arccos(1) = 0
+    cand = cosine_phase_candidates(mag, rng.uniform(-np.pi, np.pi, (5, 7)), mag_speech, mag_noise)
+    assert np.all(cand.abs_delta == 0.0)
+    sign = oracle_sign(cand, rng.uniform(-np.pi, np.pi, (5, 7)))
+    assert np.all(sign.values == 1.0)
+
+
 # --- both laws are exact on random triangles ---------------------------------
 
 _MAG = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)

@@ -34,6 +34,14 @@ def test_si_snr_identical_is_capped():
     assert si_snr(3.0 * x, x) == SI_SNR_CAP_DB
 
 
+def test_si_snr_of_a_silent_estimate_is_the_floor():
+    # A silent (or constant, hence silent once mean-removed) estimate has no
+    # projection onto the reference: the ratio is 0, read as -SI_SNR_CAP_DB.
+    ref = np.random.default_rng(5).standard_normal(1000)
+    assert si_snr(np.zeros(1000), ref) == -SI_SNR_CAP_DB
+    assert si_snr(np.full(1000, 0.25), ref) == -SI_SNR_CAP_DB
+
+
 def test_si_snr_scale_invariance():
     rng = np.random.default_rng(1)
     ref = rng.standard_normal(2000)

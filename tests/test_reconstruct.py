@@ -27,7 +27,9 @@ from msgla.spectral import (
     Spectrogram,
     StftConfig,
     Waveform,
+    _expj,
     angular_distance,
+    canonical_length,
     decompose,
     istft,
     project_values,
@@ -46,6 +48,11 @@ def _mixture(seed=0, snr_db=0.0):
     return tri, noisy, mag_speech, phase_speech, mag_noise, phase_noise
 
 
+def _grid(values):
+    """A mixture spectrogram of ``values`` on the STFT grid of ``CFG``, of canonical length."""
+    return Spectrogram(values, CFG, canonical_length(len(values), CFG))
+
+
 def test_recon_config_validation():
     with pytest.raises(ValueError):
         ReconConfig(iterations=-1)
@@ -62,13 +69,7 @@ def test_gla_fixed_point_at_true_phase():
     x = rng.standard_normal(4000)
     s = stft(Waveform(x, 16000), CFG)
     mag, phase = decompose(s)
-    report = gla(
-        mag,
-        ReconConfig(iterations=3, init="noisy"),
-        CFG,
-        origin_length=s.origin_length,
-        noisy_phase=phase,
-    )
+    report = gla(s, mag, ReconConfig(iterations=3, init="noisy"))
     # consistent input: the phase never moves
     assert np.max(np.abs(np.mod(report.final_phase - phase + np.pi, 2 * np.pi) - np.pi)) < 1e-9
 
@@ -76,7 +77,7 @@ def test_gla_fixed_point_at_true_phase():
 def test_gla_inconsistency_nonincreasing():
     rng = np.random.default_rng(1)
     mag = rng.uniform(0.0, 1.0, size=(17, CFG.n_bins))
-    report = gla(mag, ReconConfig(iterations=100, init="zero"), CFG)
+    report = gla(_grid(mag), mag, ReconConfig(iterations=100, init="zero"))
     seq = [entry.inconsistency for entry in report.per_iteration]
     assert len(seq) == 101
     diffs = np.diff(seq)
@@ -86,26 +87,16 @@ def test_gla_inconsistency_nonincreasing():
 def test_gla_zero_magnitude_keeps_initialization():
     shape = (9, CFG.n_bins)
     rng = np.random.default_rng(2)
-    init = rng.uniform(-np.pi, np.pi, shape)
-    report = gla(
-        np.zeros(shape),
-        ReconConfig(iterations=4, init="noisy"),
-        CFG,
-        noisy_phase=init,
-    )
-    assert np.array_equal(report.final_phase, init)
-
-
-def test_gla_requires_noisy_phase_for_noisy_init():
-    with pytest.raises(ValueError, match="mixture phase"):
-        gla(np.ones((5, CFG.n_bins)), ReconConfig(init="noisy"), CFG)
+    noisy = _grid(np.exp(1j * rng.uniform(-np.pi, np.pi, shape)))
+    report = gla(noisy, np.zeros(shape), ReconConfig(iterations=4, init="noisy"))
+    assert np.array_equal(report.final_phase, decompose(noisy)[1])
 
 
 def test_gla_random_init_deterministic():
     mag = np.random.default_rng(3).uniform(0, 1, (7, CFG.n_bins))
     cfg = ReconConfig(iterations=3, init="random", seed=42)
-    a = gla(mag, cfg, CFG)
-    b = gla(mag, cfg, CFG)
+    a = gla(_grid(mag), mag, cfg)
+    b = gla(_grid(mag), mag, cfg)
     assert np.array_equal(a.final_phase, b.final_phase)
     assert [s.inconsistency for s in a.per_iteration] == [
         s.inconsistency for s in b.per_iteration
@@ -214,7 +205,7 @@ def test_magnitude_distance_nonincreasing_in_weighted_norm():
     weights = bin_weights(CFG)
     values = []
     for k in range(31):
-        phase = gla(mag, ReconConfig(iterations=k, init="zero"), CFG).final_phase
+        phase = gla(_grid(mag), mag, ReconConfig(iterations=k, init="zero")).final_phase
         projected = project_values(recompose(mag, phase), CFG)
         gap = mag - np.abs(projected)
         values.append(float(np.sqrt(np.sum(weights * gap**2))))
@@ -306,11 +297,10 @@ def _refuse_projection(*args, **kwargs):
 
 
 DEFECTS = ("nan", "inf", "negative", "shape")
-# noisy_phase is gla's own input (enhance passes the mixture's phase), so it is called directly.
 BAD_ESTIMATES = [
     (method, name, defect)
     for method, names in (
-        ("gla", ("mag_speech", "noisy_phase")),
+        ("gla", ("mag_speech",)),
         ("nm", ("mag_speech", "mag_noise")),
         ("np", ("mag_speech", "phase_noise")),
         ("sign", ("mag_speech", "mag_noise")),
@@ -325,13 +315,9 @@ BAD_ESTIMATES = [
 def test_enhance_rejects_bad_estimates_up_front(monkeypatch, method, name, defect):
     noisy, fields = _all_estimates(seed=19)
     monkeypatch.setattr(reconstruct, "project_values", _refuse_projection)
+    fields[name] = _spoiled(fields[name], defect)
     with pytest.raises(ValueError, match=name):
-        if name == "noisy_phase":
-            bad = _spoiled(decompose(noisy)[1], defect)
-            gla(fields["mag_speech"], stft_cfg=noisy.config, origin_length=noisy.origin_length, noisy_phase=bad)
-        else:
-            fields[name] = _spoiled(fields[name], defect)
-            enhance(noisy, method, Estimates(**fields))
+        enhance(noisy, method, Estimates(**fields))
 
 
 def test_nm_exact_zero_update_keeps_previous_phase():
@@ -375,7 +361,7 @@ def test_loops_stay_finite_on_unit_phasors(method, kind, init, frames, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((frames - 1) * SMALL_CFG.hop_length)
     noisy = stft(Waveform(x, 16000), SMALL_CFG)
-    mag_mix, phase_mix = decompose(noisy)
+    mag_mix, _ = decompose(noisy)
     shape = mag_mix.shape
     if kind == "zero":
         mag_speech, mag_noise = np.zeros(shape), np.zeros(shape)
@@ -390,7 +376,7 @@ def test_loops_stay_finite_on_unit_phasors(method, kind, init, frames, seed):
 
     def run(cfg):
         if method == "gla":
-            return gla(mag_speech, cfg, SMALL_CFG, origin_length=len(x), noisy_phase=phase_mix)
+            return gla(noisy, mag_speech, cfg)
         if method == "nm":
             return nm_msgla(noisy, mag_speech, mag_noise, cfg)
         return np_msgla(noisy, mag_speech, phase_noise, cfg)
@@ -436,11 +422,10 @@ def test_phasor_stays_unit_on_subnormal_values():
 def test_loops_stay_finite_on_subnormal_magnitudes(method):
     tri, noisy, mag_speech, _, mag_noise, phase_noise = _mixture(seed=23)
     mag_speech, mag_noise = 1e-310 * mag_speech, 1e-310 * mag_noise
-    _, phase_mix = decompose(noisy)
     for k in range(4):
         cfg = ReconConfig(iterations=k)
         if method == "gla":
-            report = gla(mag_speech, cfg, CFG, origin_length=noisy.origin_length, noisy_phase=phase_mix)
+            report = gla(noisy, mag_speech, cfg)
         elif method == "nm":
             report = nm_msgla(noisy, mag_speech, mag_noise, cfg)
         else:
@@ -476,15 +461,15 @@ def test_zero_iterations_report_the_mixture_phase_bit_for_bit(method):
 
 def test_initial_mixture_phasor_is_one_at_exact_zeros():
     holed, *_ = _holed_mixture(seed=25)
-    mag_mix, phase_mix = decompose(holed)
+    _, phase_mix = decompose(holed)
     zero = holed.values == 0
-    phase, z0 = reconstruct._initial_mixture_phasor(ReconConfig(), holed.values, mag_mix, phase_mix)
+    phase, z0 = reconstruct._start(ReconConfig(), holed)
     assert np.array_equal(phase, phase_mix)
     assert np.all(z0[zero] == 1.0)
     assert np.max(np.abs(z0[~zero] - np.exp(1j * phase_mix[~zero]))) <= 1e-15
     for init in ("zero", "random"):
-        cfg = ReconConfig(init=init)
-        assert reconstruct._initial_mixture_phasor(cfg, holed.values, mag_mix, phase_mix)[1] is None
+        phase, z0 = reconstruct._start(ReconConfig(init=init), holed)
+        assert np.array_equal(z0, _expj(phase))
 
 
 def _last_pass_case(method):
@@ -527,9 +512,8 @@ def test_last_pass_yields_the_waveform_and_the_final_inconsistency(method, trace
 def test_public_loops_report_the_signal_enhance_returns():
     noisy, est, mag = _last_pass_case("nm")
     cfg = ReconConfig(iterations=3)
-    mag_mix, phase_mix = decompose(noisy)
     reports = {
-        "gla": gla(mag, cfg, noisy.config, origin_length=noisy.origin_length, noisy_phase=phase_mix),
+        "gla": gla(noisy, mag, cfg),
         "nm": nm_msgla(noisy, mag, est.mag_noise, cfg),
         "np": np_msgla(noisy, mag, est.phase_noise, cfg),
     }
@@ -580,7 +564,7 @@ def test_true_speech_phase_is_a_fixed_point_of_nm_and_np(kind, snr_db, seed):
     cfg = ReconConfig(iterations=20, trace=False)
     with pytest.MonkeyPatch.context() as patch:
         # Start both loops at the true speech phase instead of the mixture's.
-        patch.setattr(reconstruct, "_initial_mixture_phasor", lambda cfg, *mixture: (phase_speech, None))
+        patch.setattr(reconstruct, "_start", lambda cfg, noisy: (phase_speech, _expj(phase_speech)))
         for report in (
             nm_msgla(noisy, mag_speech, mag_noise, cfg),
             np_msgla(noisy, mag_speech, phase_noise, cfg),
@@ -610,7 +594,7 @@ def test_nm_escapes_the_wrong_sign(kind, snr_db, seed):
     assert watched.any()
     fractions = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reconstruct, "_initial_mixture_phasor", lambda cfg, *mixture: (wrong, None))
+        patch.setattr(reconstruct, "_start", lambda cfg, noisy: (wrong, _expj(wrong)))
         for iterations in (0, 5):
             report = nm_msgla(noisy, mag_speech, mag_noise, ReconConfig(iterations=iterations, trace=False))
             moved = angular_distance(report.final_phase, phase_speech)
@@ -671,7 +655,7 @@ def test_traced_scalars_are_the_final_scalars_of_shorter_runs(method, init, iter
     def run(k):
         cfg = ReconConfig(iterations=k, init=init, seed=seed)
         if method == "gla":
-            return gla(mag_speech, cfg, SMALL_CFG, origin_length=len(x), noisy_phase=phase_mix, **extra)
+            return gla(noisy, mag_speech, cfg, **extra)
         if method == "nm":
             return nm_msgla(noisy, mag_speech, mag_noise, cfg, **extra)
         return np_msgla(noisy, mag_speech, phase_noise, cfg, **extra)

@@ -28,7 +28,8 @@ for 4 clips of 10 s from ``--seed``, the in-process part of the benchmark's
 pools pinned to one thread, as in the benchmark. With ``--cli`` the ops are
 fresh ``python -m msgla`` processes, as in the benchmark's ``cli_cold``
 workload: ``enhance --method nm`` on a 1 s WAV triple written once, and a
-one-mixture ``oracle-exp``. Each child runs with ``PYTHONPATH`` set to its
+one-mixture ``oracle-exp``; and also ``candidates`` on a 10 s triple, which
+no benchmark workload runs. Each child runs with ``PYTHONPATH`` set to its
 arm's ``src`` directory.
 
 For each arm and op kind the tool prints the median op time and the median
@@ -139,9 +140,10 @@ def long_clip_setup(package, seed: int, workloads, workdir: Path):
 
 
 def cli_ops(src: Path, work: Path, out: Path, seed: int) -> dict:
-    """``enhance`` and ``oracle-exp`` ops that each start ``python -m msgla`` from ``src``.
+    """``enhance``, ``oracle-exp`` and ``candidates`` ops that each start ``python -m msgla`` from ``src``.
 
-    They read the WAV triple in ``work`` and write under ``out``.
+    They read the WAV triples in ``work`` (``candidates`` the 10 s one) and
+    write under ``out``.
     """
     env = dict(os.environ, PYTHONPATH=str(src))
     for var in THREAD_VARS:
@@ -155,6 +157,10 @@ def cli_ops(src: Path, work: Path, out: Path, seed: int) -> dict:
         "oracle-exp": [
             "oracle-exp", "--seeds", str(seed), "--snr-grid", "0", "--jobs", "1",
             "--out-dir", str(out / "oracle"),
+        ],
+        "candidates": [
+            "candidates", *(str(work / f"long_{part}.wav") for part in ("noisy", "clean", "noise")),
+            "--out", str(out / "candidates.csv"),
         ],
     }
     return {
@@ -207,9 +213,10 @@ def main(argv=None) -> int:
             who = resource.RUSAGE_CHILDREN
             dirs = (base_dir, head_dir, extract(args.base, tmp / "control"))
             head = load("msgla_ab_inputs", head_dir)
-            triple = head.harness.synthesize_mixture("harmonic", 0.0, 1.0, seed=args.seed)
-            for part in ("noisy", "clean", "noise"):
-                head.audio_io.write_wav(getattr(triple, part), tmp / f"{part}.wav")
+            for prefix, seconds in (("", 1.0), ("long_", 10.0)):
+                triple = head.harness.synthesize_mixture("harmonic", 0.0, seconds, seed=args.seed)
+                for part in ("noisy", "clean", "noise"):
+                    head.audio_io.write_wav(getattr(triple, part), tmp / f"{prefix}{part}.wav")
             arms = [cli_ops(d.parent, tmp, tmp / n, args.seed) for n, d in zip(names, dirs)]
             ops = {kind: [arm[kind] for arm in arms] for kind in arms[0]}
         else:
