@@ -46,7 +46,7 @@ from .harness import (
 )
 from .metrics import phase_error_map
 from .reconstruct import INIT_KINDS, METHOD_NEEDS, METHODS, ReconConfig, enhance
-from .spectral import StftConfig, Waveform, _check_invertible, angular_distance, decompose, stft
+from .spectral import StftConfig, Waveform, _check_invertible, _usable_cpus, angular_distance, decompose, stft
 
 log = logging.getLogger(__name__)
 
@@ -400,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument(
         "--jobs",
         type=_pos_int,
-        default=os.cpu_count() or 1,
-        help="mixtures run in parallel threads, the logical core count by default",
+        default=_usable_cpus(),
+        help="mixtures run in parallel threads, the CPUs this process may use by default",
     )
     _add_stft_flags(exp)
     exp.set_defaults(func=cmd_oracle_exp)

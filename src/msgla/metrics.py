@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import StftConfig, Waveform, angular_distance, project_values, recompose
+from .spectral import StftConfig, Waveform, _elementwise, angular_distance, project_values, recompose
 
 __all__ = [
     "SI_SNR_CAP_DB",
@@ -89,7 +89,11 @@ def phase_cos_sim(phase_est, phase_ref) -> float:
     pr = np.asarray(phase_ref, dtype=np.float64)
     if pe.shape != pr.shape:
         raise ValueError(f"shape mismatch: {pe.shape} vs {pr.shape}")
-    return float(np.cos(pe - pr).mean())
+    return float(_elementwise(_cos_of_difference, pe, pr).mean())
+
+
+def _cos_of_difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.cos(np.subtract(a, b, out=out), out=out)
 
 
 def bin_weights(cfg: StftConfig) -> np.ndarray:
@@ -139,7 +143,7 @@ def inconsistency(mag, phase, cfg: StftConfig, origin_length: int | None = None)
     """
     s = recompose(mag, phase)
     projected = project_values(s, cfg, origin_length)
-    return weighted_frobenius(s - projected, cfg)
+    return weighted_frobenius(_elementwise(np.subtract, s, projected), cfg)
 
 
 def phase_error_map(phase_est, phase_ref) -> np.ndarray:

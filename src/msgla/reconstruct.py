@@ -25,6 +25,8 @@ from .spectral import (
     StftConfig,
     Waveform,
     _analyze,
+    _angle,
+    _elementwise,
     _expj,
     _synthesize,
     decompose,
@@ -137,7 +139,7 @@ def _stats(
     """
     return IterationStats(
         iteration=n,
-        inconsistency=weighted_frobenius(speech_values - projected, stft_cfg),
+        inconsistency=weighted_frobenius(_elementwise(np.subtract, speech_values, projected), stft_cfg),
         phase_cos_sim=None if ref is None else _dot(ref.view(np.float64), z.view(np.float64)) / z.size,
         candidate_distance=(
             None
@@ -178,7 +180,21 @@ def _phasor(z: np.ndarray, values: np.ndarray) -> np.ndarray:
     The result is finite and of unit modulus also where ``|values|`` is
     subnormal (down to 5e-324).
     """
-    return _unit(values, np.abs(values), z.copy())
+
+    def part(z, values, out):
+        np.copyto(out, z)
+        return _unit(values, np.abs(values), out)
+
+    return _elementwise(part, z, values, dtype=np.complex128)
+
+
+def _residual(mixture: np.ndarray, mag: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """``mixture - mag * unit``."""
+
+    def part(mixture, mag, unit, out):
+        return np.subtract(mixture, np.multiply(mag, unit, out=out), out=out)
+
+    return _elementwise(part, mixture, mag, unit, dtype=np.complex128)
 
 
 def _start(cfg: ReconConfig, noisy: Spectrogram) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +203,12 @@ def _start(cfg: ReconConfig, noisy: Spectrogram) -> tuple[np.ndarray, np.ndarray
     shape = noisy.values.shape
     if cfg.init == "noisy":
         mag_mix, phase = decompose(noisy)
-        return phase, _unit(noisy.values, mag_mix, np.ones(shape, dtype=np.complex128))
+
+        def part(values, mag, out):
+            out.fill(1.0)
+            return _unit(values, mag, out)
+
+        return phase, _elementwise(part, noisy.values, mag_mix, dtype=np.complex128)
     rng = np.random.default_rng(cfg.seed)
     phase = np.zeros(shape) if cfg.init == "zero" else rng.uniform(-np.pi, np.pi, size=shape)
     return phase, _expj(phase)
@@ -212,12 +233,12 @@ def _run(noisy: Spectrogram, mag, update, cfg: ReconConfig, ref_phase, candidate
         ref = _expj(_estimate("ref_phase", ref_phase, mag.shape, nonnegative=False))
 
     def angles(z):
-        return phase if z is z0 else np.where(z == z0, phase, wrap_phase(np.angle(z)))
+        return phase if z is z0 else np.where(z == z0, phase, wrap_phase(_angle(z)))
 
     z = z0
     stats: list[IterationStats] = []
     for n in range(cfg.iterations + 1):
-        speech = mag * z
+        speech = _elementwise(np.multiply, mag, z)
         if n < cfg.iterations:
             projected = project_values(speech, stft_cfg, length)
         else:
@@ -227,7 +248,10 @@ def _run(noisy: Spectrogram, mag, update, cfg: ReconConfig, ref_phase, candidate
             stats.append(_stats(n, speech, projected, z, stft_cfg, ref, candidates, angles))
         if n < cfg.iterations:
             z = update(z, projected)
-    final = stats[-1].inconsistency if cfg.trace else weighted_frobenius(speech - projected, stft_cfg)
+    if cfg.trace:
+        final = stats[-1].inconsistency
+    else:
+        final = weighted_frobenius(_elementwise(np.subtract, speech, projected), stft_cfg)
     return ReconReport(angles(z), final, signal, stats)
 
 
@@ -276,8 +300,8 @@ def nm_msgla(
 
     def update(z, projected):
         speech = _phasor(z, projected)
-        noise = _phasor(z, project_values(mixture - mag_speech * speech, stft_cfg, length))
-        return _phasor(z, mixture - mag_noise * noise)
+        noise = _phasor(z, project_values(_residual(mixture, mag_speech, speech), stft_cfg, length))
+        return _phasor(z, _residual(mixture, mag_noise, noise))
 
     return _run(noisy, mag_speech, update, cfg, ref_phase, candidates, *_start(cfg, noisy))
 
@@ -308,8 +332,9 @@ def np_msgla(
 
     def update(z, projected):
         speech = _phasor(z, projected)
-        implied_mag_noise = np.abs(project_values(mixture - mag_speech * speech, stft_cfg, length))
-        return _phasor(z, mixture - implied_mag_noise * noise)
+        projected_noise = project_values(_residual(mixture, mag_speech, speech), stft_cfg, length)
+        implied_mag_noise = _elementwise(np.abs, projected_noise, dtype=np.float64)
+        return _phasor(z, _residual(mixture, implied_mag_noise, noise))
 
     return _run(noisy, mag_speech, update, cfg, ref_phase, candidates, *_start(cfg, noisy))
 

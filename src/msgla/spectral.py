@@ -13,8 +13,12 @@ monotonicity guarantees in :mod:`msgla.reconstruct` rely on.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -46,6 +50,135 @@ DENOMINATOR_CACHE_SIZE = 64
 
 _TWO_PI = 2.0 * np.pi
 
+# Arrays of at least this many elements have their per-row kernels split
+# across two threads (``_halves``); below it one call on one thread is faster.
+# Five nm iterations broke even between 95 and 126 frames of 257 bins.
+_SPLIT_MIN = 1 << 15
+
+# Held while a caller uses the helper thread; a second caller runs serially.
+_helper_free = threading.Lock()
+# The helper thread's task queue, once the thread is started.
+_helper: queue.SimpleQueue | None = None
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    while True:
+        tasks.get()()
+
+
+def _forget_helper() -> None:
+    # A forked child has no helper thread and may inherit the lock held.
+    global _helper, _helper_free
+    _helper, _helper_free = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _TopHalf:
+    """Rows ``0:rows`` of one split call, run by whichever thread claims them first.
+
+    The helper claims them when it starts; the caller tries once its own half
+    is done, so a helper that has not started by then costs the caller no wait.
+    """
+
+    def __init__(self, fn, rows: int) -> None:
+        self.fn, self.rows = fn, rows
+        self.claimed = threading.Lock()
+        # Held until the rows are done; released by the thread that ran them.
+        self.done = threading.Lock()
+        self.done.acquire()
+        self.error: BaseException | None = None
+
+    def run(self) -> bool:
+        """Run the rows unless the other thread claimed them first; False if it did."""
+        if not self.claimed.acquire(blocking=False):
+            return False
+        try:
+            self.fn(0, self.rows)
+        except BaseException as exc:  # raised again by the caller
+            self.error = exc
+        finally:
+            # Let go of the call's arrays before the caller goes on, so that
+            # they are freed where a serial run frees them.
+            self.fn = None
+            self.done.release()
+        return True
+
+    def finish(self) -> None:
+        """The caller's part: run the rows or wait for the helper's run; raise its error."""
+        if not self.run():
+            self.done.acquire()
+        if self.error is not None:
+            raise self.error
+
+    def cancel(self) -> None:
+        """The caller's part after its own half failed: claim the rows unrun, or wait."""
+        if not self.claimed.acquire(blocking=False):
+            self.done.acquire()
+
+
+def _halves(fn, rows: int, size: int) -> None:
+    """Run ``fn(lo, hi)`` over rows ``0:rows``, split in two halves run at once.
+
+    The helper thread runs ``fn(0, rows // 2)`` while the caller runs
+    ``fn(rows // 2, rows)``; if the helper has not started its half when the
+    caller's is done, the caller runs that half too. ``fn`` writes its rows
+    into outputs allocated beforehand and reads nothing the other half
+    writes; every kernel split this way computes each row the same whatever
+    rows share its call, so a split result is bit-identical to
+    ``fn(0, rows)``. That one call is made instead when the array has fewer
+    than ``_SPLIT_MIN`` elements (``size``), when fewer than two CPUs are
+    usable, or when another caller holds the helper. The helper runs ``fn``
+    in a copy of the caller's context, so numpy's ``errstate`` applies there
+    too. ``fn`` must call numpy and private helpers only.
+    """
+    global _helper
+    if size < _SPLIT_MIN or rows < 2 or _usable_cpus() < 2 or not _helper_free.acquire(blocking=False):
+        fn(0, rows)
+        return
+    try:
+        if _helper is None:
+            _helper = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_helper,), name="msgla-halves", daemon=True).start()
+        top = _TopHalf(fn, rows // 2)
+        _helper.put(partial(contextvars.copy_context().run, top.run))
+        try:
+            fn(rows // 2, rows)
+        except BaseException:
+            top.cancel()
+            raise
+        top.finish()
+    finally:
+        _helper_free.release()
+
+
+def _elementwise(fn, *arrays, dtype=None) -> np.ndarray:
+    """``fn(*arrays, out=out)`` over arrays of one shape, in halves of their elements.
+
+    ``fn`` is an elementwise ufunc, or a private function of flat slices that
+    writes its ``out``. ``out`` is a new array of the arrays' shape and of
+    ``dtype``, by default numpy's promotion of the arrays; for 0-d arrays it
+    is a numpy scalar, as numpy's own ufuncs return.
+    """
+    shape = np.shape(arrays[0])
+    out = np.empty(shape, dtype=np.result_type(*arrays) if dtype is None else dtype)
+    flats, out_flat = [np.reshape(a, -1) for a in arrays], out.reshape(-1)
+
+    def part(lo, hi):
+        fn(*(a[lo:hi] for a in flats), out=out_flat[lo:hi])
+
+    _halves(part, out.size, out.size)
+    return out if out.ndim else out[()]
+
 
 def wrap_phase(angles) -> np.ndarray:
     """Map angles into the principal interval [-pi, pi).
@@ -54,17 +187,27 @@ def wrap_phase(angles) -> np.ndarray:
     a tiny negative ``angles + pi``, which ``np.mod`` rounds up to exactly
     2*pi, maps to -pi rather than +pi.
     """
-    shifted = np.asarray(angles, dtype=np.float64) + np.pi
+    angles = np.asarray(angles, dtype=np.float64)
+    # One dimension also for a 0-d input, so that the halves below can slice it.
+    shifted = angles.reshape(-1) + np.pi
+    wrapped = np.empty(shifted.shape)
     if shifted.size and shifted.min() >= -_TWO_PI and shifted.max() < 2.0 * _TWO_PI:
-        # np.mod by one turn, piecewise: each add or subtract of 2*pi rounds
-        # exactly as np.mod does, and the subtraction also catches a negative
-        # value that the addition rounded up to 2*pi.
-        shifted += _TWO_PI * (shifted < 0.0)
-        shifted -= _TWO_PI * (shifted >= _TWO_PI)
+
+        def turn(lo, hi):
+            # np.mod by one turn, piecewise: each add or subtract of 2*pi rounds
+            # exactly as np.mod does, and the subtraction also catches a negative
+            # value that the addition rounded up to 2*pi.
+            part = shifted[lo:hi]
+            np.add(part, _TWO_PI, out=part, where=part < 0.0)
+            np.subtract(part, _TWO_PI, out=part, where=part >= _TWO_PI)
+            np.subtract(part, np.pi, out=wrapped[lo:hi])
+
+        _halves(turn, shifted.size, shifted.size)
     else:
         shifted = np.mod(shifted, _TWO_PI)
-        shifted = np.where(shifted == _TWO_PI, 0.0, shifted)
-    return shifted - np.pi
+        np.subtract(np.where(shifted == _TWO_PI, 0.0, shifted), np.pi, out=wrapped)
+    wrapped = wrapped.reshape(angles.shape)
+    return wrapped if wrapped.ndim else wrapped[()]
 
 
 def angular_distance(a, b) -> np.ndarray:
@@ -200,24 +343,41 @@ def _analyze(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     padded[:pad] = x[pad:0:-1]
     padded[pad + n : n + 2 * pad] = x[::-1][1 : pad + 1]
     step = padded.strides[0]
-    segments = as_strided(padded, (frames, w), (hop * step, step), writeable=False) * cfg.window()
-    return np.fft.rfft(segments, n=cfg.fft_length, axis=1)
+    segments = as_strided(padded, (frames, w), (hop * step, step), writeable=False)
+    windowed = np.empty((frames, w))
+    out = np.empty((frames, cfg.n_bins), dtype=np.complex128)
+    window = cfg.window()
+
+    def rows(lo, hi):
+        np.multiply(segments[lo:hi], window, out=windowed[lo:hi])
+        np.fft.rfft(windowed[lo:hi], n=cfg.fft_length, axis=1, out=out[lo:hi])
+
+    _halves(rows, frames, out.size)
+    return out
 
 
 def _overlap_add(segments: np.ndarray, hop: int) -> np.ndarray:
     """Sum frame ``m`` of ``segments`` into samples ``m*hop ...``.
 
-    One vectorized add per hop-sized offset within the window. Offsets run
-    from last to first, so every sample sums its frames in frame order, as a
-    frame-by-frame loop would.
+    The output is ``hop`` samples a row, and row ``r`` sums, per hop-sized
+    offset ``k`` within the window, that part of frame ``r - k``: one
+    vectorized add per offset over a band of rows. Offsets run from last to
+    first, so every sample sums its frames in frame order, as a
+    frame-by-frame loop would, however the rows are banded.
     """
     frames, w = segments.shape
     offsets = _ceil_div(w, hop)
     acc = np.zeros((frames + offsets - 1, hop))
-    for k in reversed(range(offsets)):
-        lo = k * hop
-        width = min(hop, w - lo)
-        acc[k : k + frames, :width] += segments[:, lo : lo + width]
+
+    def rows(lo, hi):
+        for k in reversed(range(offsets)):
+            first, last = max(lo - k, 0), min(hi - k, frames)
+            if first < last:
+                start = k * hop
+                width = min(hop, w - start)
+                acc[first + k : last + k, :width] += segments[first:last, start : start + width]
+
+    _halves(rows, acc.shape[0], acc.size)
     return acc.reshape(-1)[: (frames - 1) * hop + w]
 
 
@@ -235,8 +395,11 @@ def _fold_indices(pad: int, length: int, total: int) -> tuple[np.ndarray, ...]:
     return indices
 
 
-def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
-    """Map an overlap-added buffer onto the ``length`` source samples."""
+def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> tuple[np.ndarray, int]:
+    """Map an overlap-added buffer onto the ``length`` source samples.
+
+    Returns them with the count the buffer covers; the samples past it are 0.
+    """
     pad = cfg.window_length // 2
     total = buffer.shape[0]
     out = np.zeros(length)
@@ -249,7 +412,8 @@ def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
         t_left, p_left, t_right, p_right = _fold_indices(pad, length, total)
         out[t_left] += buffer[p_left]
         out[t_right] += buffer[p_right]
-    return out[:covered]
+    out[covered:] = 0.0
+    return out, covered
 
 
 def _check_invertible(cfg: StftConfig) -> None:
@@ -277,7 +441,8 @@ def _denominator(cfg: StftConfig, frames: int, length: int) -> np.ndarray:
     """
     window = cfg.window()
     wsq = np.broadcast_to(window * window, (frames, cfg.window_length))
-    core = _fold(_overlap_add(wsq, cfg.hop_length), cfg, length)
+    folded, covered = _fold(_overlap_add(wsq, cfg.hop_length), cfg, length)
+    core = folded[:covered]
     if np.any(core < COLA_FLOOR):
         t = int(np.argmax(core < COLA_FLOOR))
         raise ValueError(
@@ -295,14 +460,19 @@ def _synthesize(values: np.ndarray, cfg: StftConfig, origin_length: int) -> np.n
             f"expected a (frames, {cfg.n_bins}) array for this config, got shape {values.shape}"
         )
     length = int(origin_length)
-    core = _denominator(cfg, values.shape[0], length)
+    frames = values.shape[0]
+    core = _denominator(cfg, frames, length)
     w = cfg.window_length
-    segments = np.fft.irfft(values, n=cfg.fft_length, axis=1)[:, :w]
-    segments *= cfg.window()
-    folded = _fold(_overlap_add(segments, cfg.hop_length), cfg, length)
-    folded /= core
-    out = np.zeros(length)
-    out[: core.shape[0]] = folded
+    segments = np.empty((frames, cfg.fft_length))
+    window = cfg.window()
+
+    def rows(lo, hi):
+        np.fft.irfft(values[lo:hi], n=cfg.fft_length, axis=1, out=segments[lo:hi])
+        segments[lo:hi, :w] *= window
+
+    _halves(rows, frames, segments.size)
+    out, covered = _fold(_overlap_add(segments[:, :w], cfg.hop_length), cfg, length)
+    out[:covered] /= core
     return out
 
 
@@ -335,15 +505,23 @@ def decompose(s) -> tuple[np.ndarray, np.ndarray]:
     wrapped to [-pi, pi).
     """
     values = s.values if isinstance(s, Spectrogram) else np.asarray(s, dtype=np.complex128)
-    return np.abs(values), wrap_phase(np.angle(values))
+    return _elementwise(np.abs, values, dtype=np.float64), wrap_phase(_angle(values))
+
+
+def _angle(values: np.ndarray) -> np.ndarray:
+    """``np.angle(values)`` of a complex array, which is this arctan2."""
+    return _elementwise(np.arctan2, values.imag, values.real)
+
+
+def _cis(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 def _expj(phase: np.ndarray) -> np.ndarray:
     """``exp(1j * phase)`` written as one cosine and one sine, cheaper than the complex exp."""
-    out = np.empty(phase.shape, dtype=np.complex128)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
+    return _elementwise(_cis, phase, dtype=np.complex128)
 
 
 def recompose(mag, phase) -> np.ndarray:
@@ -352,7 +530,7 @@ def recompose(mag, phase) -> np.ndarray:
     phase = np.asarray(phase, dtype=np.float64)
     if mag.shape != phase.shape:
         raise ValueError(f"magnitude shape {mag.shape} does not match phase shape {phase.shape}")
-    return mag * _expj(phase)
+    return _elementwise(np.multiply, mag, _expj(phase))
 
 
 def project_values(values, cfg: StftConfig, origin_length: int | None = None) -> np.ndarray:

@@ -794,3 +794,15 @@ def test_help_shows_the_parser_defaults(argv, capsys):
     for value in shown:
         assert f"(default {value})" in text
     assert "(default None)" not in text
+
+
+def test_jobs_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    # A restricted affinity set, as under taskset or a container's cpuset,
+    # is smaller than the machine's logical core count.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+    argv = ["oracle-exp", "--out-dir", "out"]
+    assert cli.build_parser().parse_args(argv).jobs == 2
+    # Where the OS reports no affinity set, the logical core count stands.
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    assert cli.build_parser().parse_args(argv).jobs == 8

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Interleaved A/B timing of the default ``oracle-exp`` grid, the ``long_clip`` op or set-up, or CLI start-up.
+"""Interleaved A/B timing of the default ``oracle-exp`` grid, the ``long_clip`` op or set-up, CLI start-up, or benchmark runs.
 
 The benchmark runs two checkouts in separate processes, one after the other;
 on a host whose speed drifts over minutes it cannot resolve a gain of 5-15%.
@@ -7,6 +7,7 @@ This tool alternates the same op between two versions of msgla, so that
 drift hits both alike.
 
     python tools/ab.py [--base REV] [--rounds 12] [--warmup 2] [--seed 7] [--long-clip | --setup | --cli]
+    python tools/ab.py --bench WORKLOAD [--pairs 10] [--base REV] [--seed 0]
 
 ``--base`` (default ``HEAD``) is read with ``git archive`` into a temporary
 directory; the other arm is the working tree's ``src/msgla``. A third arm, a
@@ -44,6 +45,22 @@ single-package ``long_clip`` loop by 4.6k faults per op read 6.5k more per
 op than its base as one of this tool's three arms. Compare fault counts
 between arms only next to the A/A control, and confirm a fault change in a
 process that imports one package.
+
+With ``--bench WORKLOAD`` each arm is a whole ``benchmarks/run.py`` run, as
+the benchmark's own comparison makes them: ``--workload WORKLOAD --seed
+SEED --trace 0`` for the ``run_seconds`` of ``BENCHMARK.json``, in a fresh
+process, from a directory holding ``src/msgla`` and ``benchmarks``. The
+base directory is a ``git archive`` of both; the head directory is a copy of
+the working tree's. A pair runs base and head one after the other, and the
+order flips from pair to pair. In-process rounds can overstate a gain that
+the real runs do not show: rounds of a change that split kernels across two
+threads read 1.26-1.35x, its real runs ~1.2x. For every end-to-end metric
+the tool prints each pair, each side's median and quartiles, the pairs the
+head won (ties count for neither side) and whether a claimed gain would
+hold: the head wins at least nine tenths of the pairs, and the medians
+differ, in the metric's better direction, by more than the distance
+between the base's quartiles.
+
 The tool reports only; it changes no gate.
 """
 
@@ -54,8 +71,10 @@ import importlib
 import importlib.util
 import io
 import itertools
+import json
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -69,10 +88,13 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def extract(rev: str, dest: Path) -> Path:
-    """Write ``src/msgla`` as of ``rev`` under ``dest``; return the package directory."""
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def extract(rev: str, dest: Path, *paths: str) -> Path:
+    """Write ``src/msgla`` (and ``paths``) as of ``rev`` under ``dest``; return the package directory."""
     archive = subprocess.run(
-        ["git", "archive", rev, "src/msgla"], cwd=ROOT, check=True, capture_output=True
+        ["git", "archive", rev, "src/msgla", *paths], cwd=ROOT, check=True, capture_output=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
@@ -189,6 +211,63 @@ def compare(label: str, names, first, second) -> None:
     )
 
 
+def bench_run(root: Path, workload: str, seed: int) -> dict:
+    """One ``benchmarks/run.py`` run from ``root``; its last output line, parsed."""
+    argv = [
+        sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0",
+    ]
+    done = subprocess.run(argv, cwd=root, check=True, capture_output=True, text=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def bench(args) -> int:
+    """Alternate whole benchmark runs of the base and the working tree; judge each end-to-end metric."""
+    names = ("base", "head")
+    runs = {name: [] for name in names}
+    with tempfile.TemporaryDirectory(prefix="msgla-ab-") as tmp:
+        roots = (Path(tmp) / "base", Path(tmp) / "head")
+        extract(args.base, roots[0], "benchmarks")
+        ignore = shutil.ignore_patterns("__pycache__", ".bench_tmp")
+        for part in ("src/msgla", "benchmarks"):
+            shutil.copytree(ROOT / part, roots[1] / part, ignore=ignore)
+        for pair in range(args.pairs):
+            order = (0, 1) if pair % 2 == 0 else (1, 0)
+            for arm in order:
+                runs[names[arm]].append(bench_run(roots[arm], args.bench, args.seed))
+            print(
+                f"pair {pair + 1}: " + ", ".join(
+                    f"{names[arm]} correct {runs[names[arm]][-1]['correct']}" for arm in order
+                ),
+                flush=True,
+            )
+    print(
+        f"benchmarks/run.py --workload {args.bench} --seed {args.seed}, {BENCHMARK['run_seconds']} s a run: "
+        f"base {args.base} against the working tree, {args.pairs} pairs"
+    )
+    for metric in BENCHMARK["end_to_end"]:
+        name = metric["name"]
+        values = {side: [run["metrics"].get(name, {}).get("value") for run in runs[side]] for side in names}
+        if None in values["base"] + values["head"]:
+            continue
+        sign = 1.0 if metric["better"] == "higher" else -1.0
+        wins = sum(sign * (h - b) > 0 for b, h in zip(values["base"], values["head"]))
+        print(f"{name} ({metric['unit']}, {metric['better']} is better):")
+        print("  pairs (base, head): " + ", ".join(f"({b:.4g}, {h:.4g})" for b, h in zip(*values.values())))
+        quartiles = {}
+        for side in names:
+            quartiles[side] = q1, median, q3 = statistics.quantiles(values[side], n=4)
+            print(f"  {side:<5} median {median:.4g}, quartiles {q1:.4g} / {q3:.4g}")
+        gain = sign * (quartiles["head"][1] - quartiles["base"][1])
+        spread = quartiles["base"][2] - quartiles["base"][0]
+        holds = 10 * wins >= 9 * args.pairs and gain > spread
+        print(
+            f"  head better in {wins}/{args.pairs} pairs; median gain {gain:.4g} against the base's "
+            f"interquartile range {spread:.4g}: a claimed gain {'holds' if holds else 'does not hold'}"
+        )
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision of the base arm")
@@ -199,7 +278,18 @@ def main(argv=None) -> int:
     mode.add_argument("--long-clip", action="store_true", help="time the benchmark's long_clip op")
     mode.add_argument("--setup", action="store_true", help="time the benchmark's long_clip set-up")
     mode.add_argument("--cli", action="store_true", help="time fresh python -m msgla processes")
+    mode.add_argument(
+        "--bench",
+        metavar="WORKLOAD",
+        choices=[w["name"] for w in BENCHMARK["workloads"]],
+        help="alternate whole benchmarks/run.py runs of WORKLOAD",
+    )
+    parser.add_argument("--pairs", type=int, default=10, help="base/head run pairs with --bench")
     args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    if args.bench:
+        return bench(args)
     # As in the benchmark, before any arm imports numpy.
     for var in THREAD_VARS:
         os.environ[var] = "1"
