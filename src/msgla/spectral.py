@@ -169,14 +169,17 @@ def _elementwise(fn, *arrays, dtype=None) -> np.ndarray:
     ``dtype``, by default numpy's promotion of the arrays; for 0-d arrays it
     is a numpy scalar, as numpy's own ufuncs return.
     """
-    shape = np.shape(arrays[0])
-    out = np.empty(shape, dtype=np.result_type(*arrays) if dtype is None else dtype)
-    flats, out_flat = [np.reshape(a, -1) for a in arrays], out.reshape(-1)
+    out = np.empty(np.shape(arrays[0]), dtype=np.result_type(*arrays) if dtype is None else dtype)
+    if out.size < _SPLIT_MIN:
+        # _halves would make this one call too, after flattening every array.
+        fn(*arrays, out=out)
+    else:
+        flats, out_flat = [a.reshape(-1) for a in arrays], out.reshape(-1)
 
-    def part(lo, hi):
-        fn(*(a[lo:hi] for a in flats), out=out_flat[lo:hi])
+        def part(lo, hi):
+            fn(*(a[lo:hi] for a in flats), out=out_flat[lo:hi])
 
-    _halves(part, out.size, out.size)
+        _halves(part, out.size, out.size)
     return out if out.ndim else out[()]
 
 
@@ -196,11 +199,14 @@ def wrap_phase(angles) -> np.ndarray:
         def turn(lo, hi):
             # np.mod by one turn, piecewise: each add or subtract of 2*pi rounds
             # exactly as np.mod does, and the subtraction also catches a negative
-            # value that the addition rounded up to 2*pi.
-            part = shifted[lo:hi]
-            np.add(part, _TWO_PI, out=part, where=part < 0.0)
-            np.subtract(part, _TWO_PI, out=part, where=part >= _TWO_PI)
-            np.subtract(part, np.pi, out=wrapped[lo:hi])
+            # value that the addition rounded up to 2*pi. The output rows hold
+            # each turn (2*pi or 0) until they take the result.
+            part, turns = shifted[lo:hi], wrapped[lo:hi]
+            np.less(part, 0.0, out=turns)
+            part += np.multiply(turns, _TWO_PI, out=turns)
+            np.greater_equal(part, _TWO_PI, out=turns)
+            part -= np.multiply(turns, _TWO_PI, out=turns)
+            np.subtract(part, np.pi, out=turns)
 
         _halves(turn, shifted.size, shifted.size)
     else:

@@ -139,6 +139,14 @@ def _plain_phasor(z, values):
     return out
 
 
+def _plain_wrap(angle):
+    # wrap_phase on angles in [-2*pi, 2*pi] as one serial pass of temporaries.
+    shifted = angle + np.pi
+    shifted += 2.0 * np.pi * (shifted < 0.0)
+    shifted -= 2.0 * np.pi * (shifted >= 2.0 * np.pi)
+    return shifted - np.pi
+
+
 def _plain_expj(angle):
     out = np.empty(angle.shape, dtype=np.complex128)
     out.real, out.imag = np.cos(angle), np.sin(angle)
@@ -154,7 +162,7 @@ KERNELS = {
         lambda c: (np.abs(c.values), wrap_phase(np.angle(c.values))),
     ),
     "angle": (lambda c: spectral._angle(c.values), lambda c: np.angle(c.values)),
-    "wrap_phase": (lambda c: wrap_phase(c.angle + c.other_angle), None),
+    "wrap_phase": (lambda c: wrap_phase(c.angle + c.other_angle), lambda c: _plain_wrap(c.angle + c.other_angle)),
     "wrap_phase_far": (lambda c: wrap_phase(40.0 * c.angle), None),
     "product": (lambda c: spectral._elementwise(np.multiply, c.mag, c.unit), lambda c: c.mag * c.unit),
     "difference": (lambda c: spectral._elementwise(np.subtract, c.values, c.unit), lambda c: c.values - c.unit),
