@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import cosine_phase_candidates, oracle_sign
 from .metrics import phase_cos_sim, plain_snr, si_snr
 from .reconstruct import METHOD_NEEDS, Estimates, ReconConfig, ReconReport, enhance
-from .spectral import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, Waveform, decompose, stft, wrap_phase
+from .spectral import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, Waveform, _whole_number, decompose, stft, wrap_phase
 
 __all__ = [
     "MixtureTriple",
@@ -174,10 +174,9 @@ def synthesize_mixture(
     """
     if kind not in MIXTURE_KINDS:
         raise ValueError(f"kind must be one of {MIXTURE_KINDS}, got {kind!r}")
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
+    if not 0 < duration_s < np.inf:
+        raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
+    sample_rate = _whole_number("sample_rate", sample_rate, positive=True)
     n = int(round(duration_s * sample_rate))
     rng = np.random.default_rng(seed)
     clean = _harmonic_clean(n, sample_rate, rng)

@@ -29,6 +29,7 @@ from .spectral import (
     _elementwise,
     _expj,
     _synthesize,
+    _whole_number,
     decompose,
     project_values,
     wrap_phase,
@@ -68,14 +69,7 @@ class ReconConfig:
 
     def __post_init__(self) -> None:
         for name in ("iterations", "seed"):
-            value = getattr(self, name)
-            try:
-                whole = int(value) == value and value >= 0
-            except (TypeError, ValueError, OverflowError):
-                whole = False
-            if not whole:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name), positive=False))
         if self.init not in INIT_KINDS:
             raise ValueError(f"init must be one of {INIT_KINDS}, got {self.init!r}")
 

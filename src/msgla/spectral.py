@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import contextvars
 import os
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -55,25 +54,18 @@ _TWO_PI = 2.0 * np.pi
 # Five nm iterations broke even between 95 and 126 frames of 257 bins.
 _SPLIT_MIN = 1 << 15
 
-# Held while a caller uses the helper thread; a second caller runs serially.
-_helper_free = threading.Lock()
-# The helper thread's task queue, once the thread is started.
-_helper: queue.SimpleQueue | None = None
+
+def _start_helper() -> None:
+    # The helper runs the first half of the rows of each split call
+    # (``_halves``); its thread starts with the first split call. A forked
+    # child inherits no thread of its parent, so it gets a helper of its own.
+    global _helper
+    _helper = ThreadPoolExecutor(1, thread_name_prefix="msgla-halves")
 
 
-def _serve(tasks: queue.SimpleQueue) -> None:
-    while True:
-        tasks.get()()
-
-
-def _forget_helper() -> None:
-    # A forked child has no helper thread and may inherit the lock held.
-    global _helper, _helper_free
-    _helper, _helper_free = None, threading.Lock()
-
-
+_start_helper()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
+    os.register_at_fork(after_in_child=_start_helper)
 
 
 def _usable_cpus() -> int:
@@ -83,82 +75,42 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _TopHalf:
-    """Rows ``0:rows`` of one split call, run by whichever thread claims them first.
-
-    The helper claims them when it starts; the caller tries once its own half
-    is done, so a helper that has not started by then costs the caller no wait.
-    """
-
-    def __init__(self, fn, rows: int) -> None:
-        self.fn, self.rows = fn, rows
-        self.claimed = threading.Lock()
-        # Held until the rows are done; released by the thread that ran them.
-        self.done = threading.Lock()
-        self.done.acquire()
-        self.error: BaseException | None = None
-
-    def run(self) -> bool:
-        """Run the rows unless the other thread claimed them first; False if it did."""
-        if not self.claimed.acquire(blocking=False):
-            return False
-        try:
-            self.fn(0, self.rows)
-        except BaseException as exc:  # raised again by the caller
-            self.error = exc
-        finally:
-            # Let go of the call's arrays before the caller goes on, so that
-            # they are freed where a serial run frees them.
-            self.fn = None
-            self.done.release()
-        return True
-
-    def finish(self) -> None:
-        """The caller's part: run the rows or wait for the helper's run; raise its error."""
-        if not self.run():
-            self.done.acquire()
-        if self.error is not None:
-            raise self.error
-
-    def cancel(self) -> None:
-        """The caller's part after its own half failed: claim the rows unrun, or wait."""
-        if not self.claimed.acquire(blocking=False):
-            self.done.acquire()
-
-
 def _halves(fn, rows: int, size: int) -> None:
     """Run ``fn(lo, hi)`` over rows ``0:rows``, split in two halves run at once.
 
     The helper thread runs ``fn(0, rows // 2)`` while the caller runs
     ``fn(rows // 2, rows)``; if the helper has not started its half when the
-    caller's is done, the caller runs that half too. ``fn`` writes its rows
+    caller's is done (it is busy with another caller's, or slow to wake),
+    the caller takes that half back and runs it too. ``fn`` writes its rows
     into outputs allocated beforehand and reads nothing the other half
     writes; every kernel split this way computes each row the same whatever
     rows share its call, so a split result is bit-identical to
     ``fn(0, rows)``. That one call is made instead when the array has fewer
-    than ``_SPLIT_MIN`` elements (``size``), when fewer than two CPUs are
-    usable, or when another caller holds the helper. The helper runs ``fn``
-    in a copy of the caller's context, so numpy's ``errstate`` applies there
-    too. ``fn`` must call numpy and private helpers only.
+    than ``_SPLIT_MIN`` elements (``size``) or when fewer than two CPUs are
+    usable. The helper runs ``fn`` in a copy of the caller's context, so
+    numpy's ``errstate`` applies there too, and an error it raises is raised
+    in the caller. ``fn`` must call numpy and private helpers only.
     """
-    global _helper
-    if size < _SPLIT_MIN or rows < 2 or _usable_cpus() < 2 or not _helper_free.acquire(blocking=False):
+    if size < _SPLIT_MIN or rows < 2 or _usable_cpus() < 2:
         fn(0, rows)
         return
+    half = rows // 2
+    # The helper reaches fn through this list, emptied before the call
+    # returns: a work item the caller took back stays queued until the helper
+    # reaches it, and must not keep the call's arrays until then.
+    held = [fn]
+    top = _helper.submit(contextvars.copy_context().run, lambda: held[0](0, half))
     try:
-        if _helper is None:
-            _helper = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_helper,), name="msgla-halves", daemon=True).start()
-        top = _TopHalf(fn, rows // 2)
-        _helper.put(partial(contextvars.copy_context().run, top.run))
-        try:
-            fn(rows // 2, rows)
-        except BaseException:
-            top.cancel()
-            raise
-        top.finish()
+        fn(half, rows)
+        if top.cancel():
+            fn(0, half)
+        else:
+            top.result()
     finally:
-        _helper_free.release()
+        # After an error, take the helper's half back unrun or wait until it is done.
+        if not top.cancel():
+            top.exception()
+        held.clear()
 
 
 def _elementwise(fn, *arrays, dtype=None) -> np.ndarray:
@@ -183,6 +135,19 @@ def _elementwise(fn, *arrays, dtype=None) -> np.ndarray:
     return out if out.ndim else out[()]
 
 
+def _turn(shifted: np.ndarray, out: np.ndarray) -> None:
+    # np.mod by one turn of values in [-2*pi, 4*pi), piecewise: each add or
+    # subtract of 2*pi rounds exactly as np.mod does, and the subtraction also
+    # catches a negative value that the addition rounded up to 2*pi. ``out``
+    # holds each turn (2*pi or 0) until it takes the result, minus pi;
+    # ``shifted``, a temporary of wrap_phase, is changed in place.
+    np.less(shifted, 0.0, out=out)
+    shifted += np.multiply(out, _TWO_PI, out=out)
+    np.greater_equal(shifted, _TWO_PI, out=out)
+    shifted -= np.multiply(out, _TWO_PI, out=out)
+    np.subtract(shifted, np.pi, out=out)
+
+
 def wrap_phase(angles) -> np.ndarray:
     """Map angles into the principal interval [-pi, pi).
 
@@ -190,35 +155,28 @@ def wrap_phase(angles) -> np.ndarray:
     a tiny negative ``angles + pi``, which ``np.mod`` rounds up to exactly
     2*pi, maps to -pi rather than +pi.
     """
-    angles = np.asarray(angles, dtype=np.float64)
-    # One dimension also for a 0-d input, so that the halves below can slice it.
-    shifted = angles.reshape(-1) + np.pi
-    wrapped = np.empty(shifted.shape)
+    shifted = np.asarray(angles, dtype=np.float64) + np.pi
     if shifted.size and shifted.min() >= -_TWO_PI and shifted.max() < 2.0 * _TWO_PI:
-
-        def turn(lo, hi):
-            # np.mod by one turn, piecewise: each add or subtract of 2*pi rounds
-            # exactly as np.mod does, and the subtraction also catches a negative
-            # value that the addition rounded up to 2*pi. The output rows hold
-            # each turn (2*pi or 0) until they take the result.
-            part, turns = shifted[lo:hi], wrapped[lo:hi]
-            np.less(part, 0.0, out=turns)
-            part += np.multiply(turns, _TWO_PI, out=turns)
-            np.greater_equal(part, _TWO_PI, out=turns)
-            part -= np.multiply(turns, _TWO_PI, out=turns)
-            np.subtract(part, np.pi, out=turns)
-
-        _halves(turn, shifted.size, shifted.size)
-    else:
-        shifted = np.mod(shifted, _TWO_PI)
-        np.subtract(np.where(shifted == _TWO_PI, 0.0, shifted), np.pi, out=wrapped)
-    wrapped = wrapped.reshape(angles.shape)
-    return wrapped if wrapped.ndim else wrapped[()]
+        return _elementwise(_turn, shifted)
+    shifted = np.mod(shifted, _TWO_PI)
+    return np.subtract(np.where(shifted == _TWO_PI, 0.0, shifted), np.pi)
 
 
 def angular_distance(a, b) -> np.ndarray:
     """Absolute wrapped difference between two angles, in [0, pi]."""
     return np.abs(wrap_phase(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
+
+
+def _whole_number(name: str, value, positive: bool) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is a whole
+    number, and positive or non-negative as ``positive`` says."""
+    try:
+        whole = int(value) == value and value >= int(positive)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be a {'positive' if positive else 'non-negative'} integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -235,12 +193,9 @@ class StftConfig:
 
     def __post_init__(self) -> None:
         if self.fft_length is None:
-            object.__setattr__(self, "fft_length", int(self.window_length))
+            object.__setattr__(self, "fft_length", self.window_length)
         for name in ("window_length", "hop_length", "fft_length"):
-            value = getattr(self, name)
-            if int(value) != value or int(value) <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name), positive=True))
         if self.hop_length > self.window_length:
             raise ValueError(
                 f"hop_length ({self.hop_length}) must not exceed window_length ({self.window_length})"
@@ -281,9 +236,7 @@ class Waveform:
             raise ValueError(f"waveform must be one-dimensional, got shape {self.samples.shape}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
-        if int(self.sample_rate) <= 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate!r}")
-        self.sample_rate = int(self.sample_rate)
+        self.sample_rate = _whole_number("sample_rate", self.sample_rate, positive=True)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -367,23 +320,16 @@ def _overlap_add(segments: np.ndarray, hop: int) -> np.ndarray:
 
     The output is ``hop`` samples a row, and row ``r`` sums, per hop-sized
     offset ``k`` within the window, that part of frame ``r - k``: one
-    vectorized add per offset over a band of rows. Offsets run from last to
-    first, so every sample sums its frames in frame order, as a
-    frame-by-frame loop would, however the rows are banded.
+    vectorized add per offset. Offsets run from last to first, so every
+    sample sums its frames in frame order, as a frame-by-frame loop would.
     """
     frames, w = segments.shape
     offsets = _ceil_div(w, hop)
     acc = np.zeros((frames + offsets - 1, hop))
-
-    def rows(lo, hi):
-        for k in reversed(range(offsets)):
-            first, last = max(lo - k, 0), min(hi - k, frames)
-            if first < last:
-                start = k * hop
-                width = min(hop, w - start)
-                acc[first + k : last + k, :width] += segments[first:last, start : start + width]
-
-    _halves(rows, acc.shape[0], acc.size)
+    for k in reversed(range(offsets)):
+        start = k * hop
+        width = min(hop, w - start)
+        acc[k : k + frames, :width] += segments[:, start : start + width]
     return acc.reshape(-1)[: (frames - 1) * hop + w]
 
 

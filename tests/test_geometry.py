@@ -69,6 +69,14 @@ def test_cosine_floor_passes_mixture_phase_through():
     assert not cand.validity_mask[0, 0]
 
 
+def test_a_product_at_the_cosine_floor_is_nondegenerate():
+    # Speech and mixture magnitudes of 0.5 make a product of exactly the floor.
+    half = np.array([[0.5]])
+    cand = cosine_phase_candidates(half, np.array([[0.3]]), half, half, floor=0.25)
+    assert cand.validity_mask[0, 0]
+    assert cand.abs_delta[0, 0] == np.arccos(0.5)
+
+
 def test_cosine_candidates_exact_on_random_triples():
     for seed in range(5):
         h_speech, h_noise, h_mix = _exact_triple(seed)
@@ -111,6 +119,13 @@ def test_sine_floor_passes_mixture_phase_through():
     assert cand.primary_candidate[0, 0] == pytest.approx(0.4)
     assert cand.reflected_candidate[0, 0] == pytest.approx(0.4)
     assert not cand.validity_mask[0, 0]
+
+
+def test_a_speech_magnitude_at_the_sine_floor_is_nondegenerate():
+    half, phase = np.array([[0.5]]), np.array([[0.4]])
+    cand = sine_phase_candidates(half, phase, half, phase, floor=0.5)
+    assert cand.validity_mask[0, 0]
+    assert cand.reflected_candidate[0, 0] == wrap_phase(np.pi + 0.4)
 
 
 def test_sine_candidates_exact_on_random_triples():

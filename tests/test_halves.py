@@ -45,7 +45,7 @@ from msgla.spectral import (
 
 CFG = StftConfig()
 SMALL_CFG = StftConfig(window_length=32, hop_length=16)
-HELPER_THREAD = "msgla-halves"
+HELPER_THREAD = "msgla-halves_0"
 
 
 @contextmanager
@@ -234,9 +234,8 @@ def test_overlap_add_sums_every_sample_in_frame_order_however_rows_are_split():
     rng = np.random.default_rng(3)
     for frames, w, hop in ((40, 32, 16), (41, 30, 7), (9, 512, 256), (2, 5, 5)):
         segments = rng.standard_normal((frames, w))
-        serial, split, threads = _off_and_on(lambda: spectral._overlap_add(segments, hop), 0)
+        serial, split, _ = _off_and_on(lambda: spectral._overlap_add(segments, hop), 0)
         assert _bits(split) == _bits(serial)
-        assert HELPER_THREAD in threads
         expected = np.zeros((frames - 1) * hop + w)
         for m in range(frames):
             expected[m * hop : m * hop + w] += segments[m]
@@ -258,25 +257,9 @@ def test_the_helper_runs_in_the_callers_numpy_errstate():
 
 
 def test_a_busy_helper_or_a_single_cpu_means_a_serial_run():
+    # A caller whose half is done before the helper starts the other takes
+    # that half back; with one usable CPU it makes one call of all rows.
     case = _Case.drawn(20, 5)
-    with _helper(False):
-        expected = reconstruct._phasor(case.unit, case.values)
-    with _helper(True) as threads:
-        assert spectral._helper_free.acquire(timeout=10)
-        try:
-            busy = reconstruct._phasor(case.unit, case.values)
-        finally:
-            spectral._helper_free.release()
-        assert HELPER_THREAD not in threads
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectral, "_usable_cpus", lambda: 1)
-            single = reconstruct._phasor(case.unit, case.values)
-        assert HELPER_THREAD not in threads
-    assert _bits(busy) == _bits(expected) == _bits(single)
-
-
-def test_the_caller_runs_the_helpers_half_if_the_helper_has_not_started():
-    case = _Case.drawn(20, 6)
     with _helper(False):
         expected = reconstruct._phasor(case.unit, case.values)
     release, ran = threading.Event(), []
@@ -289,21 +272,24 @@ def test_the_caller_runs_the_helpers_half_if_the_helper_has_not_started():
 
         return halves(part, rows, size)
 
+    main = threading.main_thread().name
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_SPLIT_MIN", 0)
         patch.setattr(spectral, "_usable_cpus", lambda: 2)
-        spectral._elementwise(np.negative, np.ones(64))  # the helper thread exists
-        spectral._helper.put(lambda: release.wait(timeout=30))  # and is held up
         patch.setattr(spectral, "_halves", recording)
+        spectral._helper.submit(release.wait, 30)  # the helper is held up
         try:
-            late = reconstruct._phasor(case.unit, case.values)
+            busy = reconstruct._phasor(case.unit, case.values)
         finally:
             release.set()
-    main = threading.main_thread().name
-    assert ran == [(case.values.size // 2, main), (0, main)]
+        assert ran == [(case.values.size // 2, main), (0, main)]
+        ran.clear()
+        patch.setattr(spectral, "_usable_cpus", lambda: 1)
+        single = reconstruct._phasor(case.unit, case.values)
+        assert ran == [(0, main)]
     with _helper(True) as threads:
         again = reconstruct._phasor(case.unit, case.values)
-    assert _bits(late) == _bits(expected) == _bits(again)
+    assert _bits(busy) == _bits(expected) == _bits(single) == _bits(again)
     assert HELPER_THREAD in threads
 
 
@@ -316,6 +302,25 @@ def test_the_helper_keeps_no_array_of_a_finished_call():
         result = spectral._elementwise(np.negative, values)
         held = sys.getrefcount(values) - before
     assert HELPER_THREAD in threads and np.all(result == -1.0)
+    assert held == 0
+
+
+def test_a_half_taken_back_keeps_no_array_while_it_waits_in_the_queue():
+    # The helper's queue keeps a work item that the caller took back until
+    # the helper reaches it; that item must not keep the call's arrays.
+    values = np.ones(4096)
+    before = sys.getrefcount(values)
+    release = threading.Event()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_SPLIT_MIN", 0)
+        patch.setattr(spectral, "_usable_cpus", lambda: 2)
+        spectral._helper.submit(release.wait, 30)  # the helper is held up
+        try:
+            result = spectral._elementwise(np.negative, values)
+            held = sys.getrefcount(values) - before
+        finally:
+            release.set()
+    assert np.all(result == -1.0)
     assert held == 0
 
 

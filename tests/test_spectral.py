@@ -25,6 +25,7 @@ from msgla.spectral import (
     stft,
     wrap_phase,
 )
+from msgla.harness import synthesize_mixture
 from msgla.metrics import bin_weights, inconsistency
 
 
@@ -61,6 +62,24 @@ def test_waveform_validation():
         Waveform(np.zeros((2, 2)), 16000)
     with pytest.raises(ValueError):
         Waveform(np.zeros(4), 0)
+
+
+def test_a_count_that_is_not_a_whole_number_is_a_value_error_naming_it():
+    # A rate of 1.5 once became 1, and inf and NaN escaped as OverflowError
+    # or as a message without the field's name.
+    builds = [
+        ("window_length", lambda v: StftConfig(window_length=v)),
+        ("hop_length", lambda v: StftConfig(hop_length=v)),
+        ("sample_rate", lambda v: Waveform([0.0, 1.0], v)),
+        ("sample_rate", lambda v: synthesize_mixture("harmonic", 0.0, 0.25, v)),
+    ]
+    for field, build in builds:
+        for value in (float("inf"), float("nan"), 1.5, -2, None):
+            with pytest.raises(ValueError, match=field):
+                build(value)
+    for value in (float("inf"), float("nan"), 0.0):
+        with pytest.raises(ValueError, match="duration_s"):
+            synthesize_mixture("harmonic", 0.0, value)
 
 
 def test_wrap_phase_range():
