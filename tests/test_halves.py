@@ -256,13 +256,8 @@ def test_the_helper_runs_in_the_callers_numpy_errstate():
     assert threads.count(HELPER_THREAD) == 2
 
 
-def test_a_busy_helper_or_a_single_cpu_means_a_serial_run():
-    # A caller whose half is done before the helper starts the other takes
-    # that half back; with one usable CPU it makes one call of all rows.
-    case = _Case.drawn(20, 5)
-    with _helper(False):
-        expected = reconstruct._phasor(case.unit, case.values)
-    release, ran = threading.Event(), []
+def _recording(ran):
+    """A ``_halves`` that notes the first row and the thread of each part."""
     halves = spectral._halves
 
     def recording(fn, rows, size):
@@ -272,24 +267,56 @@ def test_a_busy_helper_or_a_single_cpu_means_a_serial_run():
 
         return halves(part, rows, size)
 
+    return recording
+
+
+def test_a_busy_helper_or_a_single_cpu_means_a_serial_run():
+    # A busy helper runs no part of the call; with one usable CPU the caller
+    # makes one call of all rows.
+    case = _Case.drawn(20, 5)
+    with _helper(False):
+        expected = reconstruct._phasor(case.unit, case.values)
+    release, ran = threading.Event(), []
     main = threading.main_thread().name
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "_SPLIT_MIN", 0)
         patch.setattr(spectral, "_usable_cpus", lambda: 2)
-        patch.setattr(spectral, "_halves", recording)
-        spectral._helper.submit(release.wait, 30)  # the helper is held up
+        patch.setattr(spectral, "_halves", _recording(ran))
+        spectral._helper.submit(release.wait, 30)  # the helper is busy
         try:
             busy = reconstruct._phasor(case.unit, case.values)
         finally:
             release.set()
-        assert ran == [(case.values.size // 2, main), (0, main)]
+        assert ran and {name for _, name in ran} == {main}
         ran.clear()
         patch.setattr(spectral, "_usable_cpus", lambda: 1)
         single = reconstruct._phasor(case.unit, case.values)
         assert ran == [(0, main)]
+    assert _bits(busy) == _bits(expected) == _bits(single)
+
+
+def test_the_caller_runs_the_helpers_half_if_the_helper_has_not_started():
+    # A caller whose half is done before the helper starts the other takes
+    # that half back and runs it itself.
+    case = _Case.drawn(20, 6)
+    with _helper(False):
+        expected = reconstruct._phasor(case.unit, case.values)
+    release, ran = threading.Event(), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_SPLIT_MIN", 0)
+        patch.setattr(spectral, "_usable_cpus", lambda: 2)
+        spectral._elementwise(np.negative, np.ones(64))  # the helper thread exists
+        spectral._helper.submit(release.wait, 30)  # and is held up
+        patch.setattr(spectral, "_halves", _recording(ran))
+        try:
+            late = reconstruct._phasor(case.unit, case.values)
+        finally:
+            release.set()
+    main = threading.main_thread().name
+    assert ran == [(case.values.size // 2, main), (0, main)]
     with _helper(True) as threads:
         again = reconstruct._phasor(case.unit, case.values)
-    assert _bits(busy) == _bits(expected) == _bits(single) == _bits(again)
+    assert _bits(late) == _bits(expected) == _bits(again)
     assert HELPER_THREAD in threads
 
 
