@@ -204,6 +204,12 @@ def cmd_enhance(cfg: dict, stft_cfg: StftConfig) -> int:
 
 
 def cmd_oracle_exp(cfg: dict, stft_cfg: StftConfig) -> int:
+    samples, shortest = round(cfg["duration"] * cfg["sample_rate"]), cfg["window"] // 2 + 1
+    if samples < shortest:
+        raise UsageError(
+            f"--duration {cfg['duration']} at --sample-rate {cfg['sample_rate']} gives {samples} samples; "
+            f"centered analysis with --window {cfg['window']} needs at least {shortest}"
+        )
     mixtures = [
         MixtureSpec(cfg["kind"], snr, cfg["duration"], cfg["sample_rate"], seed)
         for snr in cfg["snr_grid"]

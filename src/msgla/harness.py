@@ -178,6 +178,8 @@ def synthesize_mixture(
         raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
     sample_rate = _whole_number("sample_rate", sample_rate, positive=True)
     n = int(round(duration_s * sample_rate))
+    if n == 0:
+        raise ValueError(f"duration_s {duration_s!r} at sample_rate {sample_rate} rounds to no sample")
     rng = np.random.default_rng(seed)
     clean = _harmonic_clean(n, sample_rate, rng)
     if kind == "harmonic":

@@ -156,10 +156,10 @@ def wrap_phase(angles) -> np.ndarray:
     2*pi, maps to -pi rather than +pi.
     """
     shifted = np.asarray(angles, dtype=np.float64) + np.pi
-    if shifted.size and shifted.min() >= -_TWO_PI and shifted.max() < 2.0 * _TWO_PI:
-        return _elementwise(_turn, shifted)
-    shifted = np.mod(shifted, _TWO_PI)
-    return np.subtract(np.where(shifted == _TWO_PI, 0.0, shifted), np.pi)
+    if not (shifted.size and shifted.min() >= -_TWO_PI and shifted.max() < 2.0 * _TWO_PI):
+        # into [0, 2*pi]: a 2*pi that np.mod rounded up to, _turn takes to -pi
+        shifted = np.mod(shifted, _TWO_PI)
+    return _elementwise(_turn, shifted)
 
 
 def angular_distance(a, b) -> np.ndarray:

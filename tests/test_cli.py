@@ -228,6 +228,13 @@ def test_oracle_exp_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_oracle_exp_runs_at_the_shortest_duration(tmp_path):
+    # 257 samples, the fewest that centered analysis with a 512-sample window takes
+    argv = ["oracle-exp", "--methods", "nm", "--snr-grid", "0", "--seeds", "0", "--jobs", "1"]
+    assert main([*argv, "--duration", str(257 / 16000), "--out-dir", str(tmp_path / "exp")]) == 0
+    assert (tmp_path / "exp" / "results.csv").is_file()
+
+
 def test_candidates_cos_law(mixture_files):
     tmp_path, paths, _ = mixture_files
     out = tmp_path / "cand.csv"
@@ -402,6 +409,29 @@ def test_analyze_energy_scaled_contrast(mixture_files, tmp_path):
     assert noise_stats["mean_error_low_energy"] < noise_stats["mean_error_high_energy"]
     speech_stats = summary["speech_phase"]
     assert speech_stats["mean_error_high_energy"] < speech_stats["mean_error_low_energy"]
+
+
+def test_analyze_counts_bins_equal_to_the_median_as_low_energy(tmp_path):
+    # An impulse of 0.5 every 256 samples gives most bins a magnitude of
+    # exactly 0.5, the median, so the rule for ties decides the split.
+    clean = np.zeros(16000)
+    clean[::256] = 0.5
+    noise = 0.1 * np.random.default_rng(0).standard_normal(16000)
+    for name, samples in (("clean", clean), ("noise", noise)):
+        write_wav(Waveform(samples, 16000), tmp_path / f"{name}.wav", "float32")
+    out_dir = tmp_path / "maps"
+    argv = ["analyze", "--clean", str(tmp_path / "clean.wav"), "--noise", str(tmp_path / "noise.wav")]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 0
+    mag, _ = decompose(stft(read_wav(tmp_path / "clean.wav"), StftConfig()))
+    median = np.median(mag)
+    high = mag > median
+    assert (median, np.count_nonzero(high), np.count_nonzero(mag >= median)) == (0.5, 130, 16064)
+    summary = json.loads((out_dir / "summary.json").read_text())
+    for part in ("speech", "noise"):
+        error = np.loadtxt(out_dir / f"{part}_phase_error.csv", delimiter=",")
+        stats = summary[f"{part}_phase"]
+        assert stats["mean_error_high_energy"] == pytest.approx(error[high].mean(), rel=1e-7)
+        assert stats["mean_error_low_energy"] == pytest.approx(error[~high].mean(), rel=1e-7)
 
 
 def test_config_file_merging(mixture_files, tmp_path):
@@ -734,6 +764,9 @@ def _refuse_io(*args, **kwargs):
         ("analyze", {"snr_db": "nan"}, [], "--snr-db"),
         ("oracle-exp", None, ["--snr-grid", "-inf"], "--snr-grid: must be a number"),
         ("analyze", None, ["--snr-db", "-inf"], "--snr-db: must be a number"),
+        ("oracle-exp", None, ["--duration", "0.00002"], "--duration"),
+        ("oracle-exp", None, ["--duration", "0.01"], "--sample-rate"),
+        ("oracle-exp", {"duration": 0.01}, [], "--window"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_work(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,14 @@ def test_speech_shaped_envelope_is_the_box_convolution(n):
     expected = np.fft.irfft(np.fft.rfft(white) * (smoothed / smoothed.max() + 1e-3), n=n)
     got = harness._speech_shaped_noise(clean, np.random.default_rng(1))
     assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "speech_shaped"])
+def test_mixture_of_no_sample_is_rejected_without_a_numpy_warning(kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="duration_s"):
+            synthesize_mixture(kind, 0.0, 0.00002, 16000, 0)
 
 
 def test_speech_shaped_mixture_of_two_samples():

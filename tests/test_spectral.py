@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from msgla import spectral
 from msgla.spectral import (
     COLA_FLOOR,
     Spectrogram,
@@ -392,6 +393,25 @@ def test_invertibility_check_agrees_with_synthesis_of_long_signals(cfg, windows,
             _denominator(cfg, frame_count(n, cfg), n)
     else:
         _denominator(cfg, frame_count(n, cfg), n)
+
+
+def test_cola_floor_boundary_is_inclusive(monkeypatch):
+    # The overlap-added power of a periodic Hann window of 512 with hop 256 is
+    # sin^4 + cos^4, at least exactly 0.5: a floor of 0.5 passes, one ulp more fails.
+    cfg, n = StftConfig(512, 256), 4096
+    _denominator.cache_clear()
+    try:
+        monkeypatch.setattr(spectral, "COLA_FLOOR", 0.5)
+        _check_invertible(cfg)
+        assert _denominator(cfg, frame_count(n, cfg), n).min() == 0.5
+        _denominator.cache_clear()
+        monkeypatch.setattr(spectral, "COLA_FLOOR", np.nextafter(0.5, np.inf))
+        with pytest.raises(ValueError, match="not invertible"):
+            _check_invertible(cfg)
+        with pytest.raises(ValueError, match="not invertible"):
+            _denominator(cfg, frame_count(n, cfg), n)
+    finally:
+        _denominator.cache_clear()
 
 
 def test_cached_window_and_denominator_are_read_only():
