@@ -27,7 +27,6 @@ from .spectral import (  # noqa: E402
 )
 from .geometry import (  # noqa: E402
     CosineCandidates,
-    SignField,
     SineCandidates,
     apply_sign_field,
     cosine_phase_candidates,
@@ -76,7 +75,6 @@ __all__ = [
     "angular_distance",
     "CosineCandidates",
     "SineCandidates",
-    "SignField",
     "cosine_phase_candidates",
     "sine_phase_candidates",
     "apply_sign_field",

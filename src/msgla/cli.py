@@ -25,12 +25,7 @@ import numpy as np
 
 from . import __version__
 from .audio_io import RunArtifact, _write_csv, persist_run, read_wav, write_wav
-from .geometry import (
-    DEFAULT_FLOOR,
-    cosine_phase_candidates,
-    nearest_candidate_distance,
-    sine_phase_candidates,
-)
+from .geometry import cosine_phase_candidates, nearest_candidate_distance, sine_phase_candidates
 from .harness import (
     EstimateProvider,
     ExperimentSpec,
@@ -241,12 +236,11 @@ def cmd_candidates(cfg: dict, stft_cfg: StftConfig) -> int:
     mag_speech, phase_speech = spectra["mag_speech"], spectra["phase_speech"]
     mag_noise, phase_noise = spectra["mag_noise"], spectra["phase_noise"]
 
-    floor = cfg["floor"]
     if cfg["law"] == "cos":
-        cand = cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise, floor)
+        cand = cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise)
         extra = {"abs_delta": cand.abs_delta}
     else:
-        cand = sine_phase_candidates(mag_mix, phase_mix, mag_speech, phase_noise, floor)
+        cand = sine_phase_candidates(mag_mix, phase_mix, mag_speech, phase_noise)
         extra = {"primary": cand.primary_candidate, "reflected": cand.reflected_candidate}
     error = nearest_candidate_distance(phase_speech, cand)
 
@@ -417,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     cand.add_argument("clean", help="aligned clean WAV")
     cand.add_argument("noise", help="aligned noise WAV")
     cand.add_argument("--law", choices=("cos", "sin"), default="cos", help="candidate construction")
-    cand.add_argument("--floor", type=_pos_float, default=DEFAULT_FLOOR, help="magnitude floor")
     cand.add_argument("--out", required=True, help="per-bin CSV output path")
     _add_stft_flags(cand)
     cand.set_defaults(func=cmd_candidates)

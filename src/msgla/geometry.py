@@ -11,7 +11,9 @@ pins the speech phase down to a two-way ambiguity:
 
 Estimated magnitudes routinely violate the triangle inequality, so the
 inverse-trig arguments are clamped to [-1, 1]; the validity masks record
-where clamping or a degenerate denominator occurred.
+where clamping or a degenerate denominator occurred. Every array argument
+must have the mixture's shape and finite values, and magnitudes must be
+non-negative (``spectral._estimate``).
 """
 
 from __future__ import annotations
@@ -20,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import angular_distance, wrap_phase
+from .spectral import _estimate, angular_distance, wrap_phase
 
 __all__ = [
     "DEFAULT_FLOOR",
     "CosineCandidates",
     "SineCandidates",
-    "SignField",
     "cosine_phase_candidates",
     "sine_phase_candidates",
     "apply_sign_field",
@@ -34,7 +35,8 @@ __all__ = [
     "nearest_candidate_distance",
 ]
 
-# Magnitude products below this are treated as degenerate geometry.
+# Magnitude products below this are treated as degenerate geometry; the laws
+# read it at each call.
 DEFAULT_FLOOR = 1e-12
 
 
@@ -63,46 +65,27 @@ class SineCandidates:
         return self.primary_candidate, self.reflected_candidate
 
 
-@dataclass
-class SignField:
-    """Per-bin candidate selector: hard signs (+-1) or soft values in [-1, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(np.abs(self.values) > 1.0):
-            raise ValueError("sign field values must lie in [-1, 1]")
+def _mixture(mag_mix, phase_mix) -> tuple[np.ndarray, np.ndarray]:
+    """The checked mixture magnitude and phase; the magnitude's shape is the mixture's."""
+    mag_mix = _estimate("mag_mix", mag_mix, np.shape(mag_mix))
+    return mag_mix, _estimate("phase_mix", phase_mix, mag_mix.shape, nonnegative=False)
 
 
-def _check_shapes(**arrays) -> None:
-    shapes = {name: np.shape(a) for name, a in arrays.items()}
-    if len(set(shapes.values())) > 1:
-        raise ValueError(f"shape mismatch: {shapes}")
-
-
-def cosine_phase_candidates(
-    mag_mix,
-    phase_mix,
-    mag_speech,
-    mag_noise,
-    floor: float = DEFAULT_FLOOR,
-) -> CosineCandidates:
+def cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise) -> CosineCandidates:
     """Speech-phase candidates ``phase_mix +- |delta|`` via the law of cosines.
 
     ``|delta| = arccos((mag_mix^2 + mag_speech^2 - mag_noise^2) /
     (2 * mag_speech * mag_mix))`` with the argument clamped to [-1, 1].
-    Bins whose magnitude product falls below ``floor`` get ``|delta| = 0``
-    (both candidates collapse onto the mixture phase) and are marked invalid.
+    Bins whose magnitude product falls below ``DEFAULT_FLOOR`` get
+    ``|delta| = 0`` (both candidates collapse onto the mixture phase) and are
+    marked invalid.
     """
-    mag_mix = np.asarray(mag_mix, dtype=np.float64)
-    phase_mix = np.asarray(phase_mix, dtype=np.float64)
-    mag_speech = np.asarray(mag_speech, dtype=np.float64)
-    mag_noise = np.asarray(mag_noise, dtype=np.float64)
-    _check_shapes(mag_mix=mag_mix, phase_mix=phase_mix, mag_speech=mag_speech, mag_noise=mag_noise)
+    mag_mix, phase_mix = _mixture(mag_mix, phase_mix)
+    mag_speech = _estimate("mag_speech", mag_speech, mag_mix.shape)
+    mag_noise = _estimate("mag_noise", mag_noise, mag_mix.shape)
 
     product = mag_speech * mag_mix
-    nondegenerate = product >= floor
+    nondegenerate = product >= DEFAULT_FLOOR
     numerator = mag_mix**2 + mag_speech**2 - mag_noise**2
     raw = np.where(nondegenerate, numerator / np.where(nondegenerate, 2.0 * product, 1.0), 1.0)
     arg = np.clip(raw, -1.0, 1.0)
@@ -116,30 +99,20 @@ def cosine_phase_candidates(
     )
 
 
-def sine_phase_candidates(
-    mag_mix,
-    phase_mix,
-    mag_speech,
-    phase_noise,
-    floor: float = DEFAULT_FLOOR,
-) -> SineCandidates:
+def sine_phase_candidates(mag_mix, phase_mix, mag_speech, phase_noise) -> SineCandidates:
     """Speech-phase candidates via the law of sines.
 
     With ``r = (mag_mix / mag_speech) * sin(phase_mix - phase_noise)``
     clamped to [-1, 1], the candidates are ``arcsin(r) + phase_noise`` and
     ``pi - arcsin(r) + phase_noise``, wrapped to [-pi, pi). Bins with speech
-    magnitude below ``floor`` get the wrapped mixture phase for both
+    magnitude below ``DEFAULT_FLOOR`` get the wrapped mixture phase for both
     candidates, as the cosine law gives them, and are marked invalid.
     """
-    mag_mix = np.asarray(mag_mix, dtype=np.float64)
-    phase_mix = np.asarray(phase_mix, dtype=np.float64)
-    mag_speech = np.asarray(mag_speech, dtype=np.float64)
-    phase_noise = np.asarray(phase_noise, dtype=np.float64)
-    _check_shapes(
-        mag_mix=mag_mix, phase_mix=phase_mix, mag_speech=mag_speech, phase_noise=phase_noise
-    )
+    mag_mix, phase_mix = _mixture(mag_mix, phase_mix)
+    mag_speech = _estimate("mag_speech", mag_speech, mag_mix.shape)
+    phase_noise = _estimate("phase_noise", phase_noise, mag_mix.shape, nonnegative=False)
 
-    nondegenerate = mag_speech >= floor
+    nondegenerate = mag_speech >= DEFAULT_FLOOR
     ratio = np.where(nondegenerate, mag_mix / np.where(nondegenerate, mag_speech, 1.0), 0.0)
     raw = ratio * np.sin(phase_mix - phase_noise)
     arc = np.arcsin(np.clip(raw, -1.0, 1.0))
@@ -157,31 +130,30 @@ def sine_phase_candidates(
 def apply_sign_field(phase_mix, abs_delta, sign) -> np.ndarray:
     """Resolve the candidate ambiguity: ``wrap(phase_mix + sign * abs_delta)``.
 
-    ``sign`` may be a :class:`SignField` or a bare array; values must lie in
-    [-1, 1] (soft selectors interpolate between the candidates).
+    ``sign`` holds one value in [-1, 1] per bin: hard signs pick a
+    candidate, soft values interpolate between the two.
     """
-    phase_mix = np.asarray(phase_mix, dtype=np.float64)
-    abs_delta = np.asarray(abs_delta, dtype=np.float64)
-    values = sign.values if isinstance(sign, SignField) else np.asarray(sign, dtype=np.float64)
-    _check_shapes(phase_mix=phase_mix, abs_delta=abs_delta, sign=values)
-    if np.any(np.abs(values) > 1.0):
-        raise ValueError("sign field values must lie in [-1, 1]")
-    return wrap_phase(phase_mix + values * abs_delta)
+    phase_mix = _estimate("phase_mix", phase_mix, np.shape(phase_mix), nonnegative=False)
+    abs_delta = _estimate("abs_delta", abs_delta, phase_mix.shape)
+    sign = _estimate("sign", sign, phase_mix.shape, nonnegative=False)
+    if np.any(np.abs(sign) > 1.0):
+        raise ValueError("sign contains values outside [-1, 1]")
+    return wrap_phase(phase_mix + sign * abs_delta)
 
 
-def oracle_sign(candidates: CosineCandidates, phase_ref) -> SignField:
-    """Per-bin sign selecting the candidate closest to a reference phase.
+def oracle_sign(candidates: CosineCandidates, phase_ref) -> np.ndarray:
+    """Per-bin sign (+-1) selecting the candidate closest to a reference phase.
 
     Ties (including zero ``abs_delta``) resolve to +1 for determinism.
     """
-    phase_ref = np.asarray(phase_ref, dtype=np.float64)
-    _check_shapes(plus=candidates.plus_candidate, ref=phase_ref)
+    phase_ref = _estimate("phase_ref", phase_ref, candidates.plus_candidate.shape, nonnegative=False)
     d_plus = angular_distance(candidates.plus_candidate, phase_ref)
     d_minus = angular_distance(candidates.minus_candidate, phase_ref)
-    return SignField(np.where(d_minus < d_plus, -1.0, 1.0))
+    return np.where(d_minus < d_plus, -1.0, 1.0)
 
 
 def nearest_candidate_distance(phase, candidates) -> np.ndarray:
     """Per-bin angular distance from ``phase`` to the closer of the two candidates."""
     a, b = candidates.candidate_pair()
+    phase = _estimate("phase", phase, a.shape, nonnegative=False)
     return np.minimum(angular_distance(phase, a), angular_distance(phase, b))

@@ -87,13 +87,28 @@ class MixtureTriple:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Recipe for one synthetic mixture: the arguments of :func:`synthesize_mixture`."""
+    """Recipe for one synthetic mixture: the arguments of :func:`synthesize_mixture`,
+    checked when the recipe is made."""
 
     kind: str = "harmonic"
     snr_db: float = 0.0
     duration_s: float = 0.5
     sample_rate: int = DEFAULT_SAMPLE_RATE
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.kind not in MIXTURE_KINDS:
+            raise ValueError(f"kind must be one of {MIXTURE_KINDS}, got {self.kind!r}")
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
+            raise ValueError(f"snr_db must be a number or +inf, got {self.snr_db!r}")
+        if not 0 < self.duration_s < np.inf:
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s!r}")
+        object.__setattr__(self, "sample_rate", _whole_number("sample_rate", self.sample_rate, positive=True))
+        object.__setattr__(self, "seed", _whole_number("seed", self.seed, positive=False))
+        if round(self.duration_s * self.sample_rate) == 0:
+            raise ValueError(
+                f"duration_s {self.duration_s!r} at sample_rate {self.sample_rate} rounds to no sample"
+            )
 
 
 @dataclass(frozen=True)
@@ -146,8 +161,7 @@ def _speech_shaped_noise(clean: np.ndarray, rng: np.random.Generator) -> np.ndar
 
 
 def _scale_noise(clean: np.ndarray, noise: np.ndarray, snr_db: float) -> np.ndarray:
-    if np.isnan(snr_db) or snr_db == -np.inf:
-        raise ValueError(f"snr_db must be a number or +inf, got {snr_db!r}")
+    """``noise`` scaled to ``snr_db`` (a number or +inf) against ``clean``."""
     if np.isinf(snr_db):
         return np.zeros_like(noise)
     clean_norm = float(np.linalg.norm(clean))
@@ -172,14 +186,8 @@ def synthesize_mixture(
     The noise is scaled so that ``10*log10(|clean|^2 / |noise|^2)`` equals
     ``snr_db`` exactly; ``snr_db = inf`` yields zero noise.
     """
-    if kind not in MIXTURE_KINDS:
-        raise ValueError(f"kind must be one of {MIXTURE_KINDS}, got {kind!r}")
-    if not 0 < duration_s < np.inf:
-        raise ValueError(f"duration_s must be positive and finite, got {duration_s!r}")
-    sample_rate = _whole_number("sample_rate", sample_rate, positive=True)
+    sample_rate = MixtureSpec(kind, snr_db, duration_s, sample_rate, seed).sample_rate
     n = int(round(duration_s * sample_rate))
-    if n == 0:
-        raise ValueError(f"duration_s {duration_s!r} at sample_rate {sample_rate} rounds to no sample")
     rng = np.random.default_rng(seed)
     clean = _harmonic_clean(n, sample_rate, rng)
     if kind == "harmonic":
@@ -260,6 +268,14 @@ class ExperimentSpec:
         for method in self.methods:
             if method not in METHOD_NEEDS:
                 raise ValueError(f"unknown method {method!r}")
+        window = self.stft_cfg.window_length
+        for mixture in self.mixtures:
+            samples = round(mixture.duration_s * mixture.sample_rate)
+            if samples < window // 2 + 1:
+                raise ValueError(
+                    f"duration_s {mixture.duration_s!r} at sample_rate {mixture.sample_rate} gives "
+                    f"{samples} samples; centered analysis with window {window} needs at least {window // 2 + 1}"
+                )
 
 
 @dataclass

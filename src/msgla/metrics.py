@@ -41,6 +41,21 @@ def _samples(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _pair(est, ref, centered: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """The samples of ``est`` and ``ref``, mean-removed when ``centered``, and
+    the power of the reference; ``ValueError`` unless their shapes match and
+    the reference is not silent."""
+    e, r = _samples(est), _samples(ref)
+    if e.shape != r.shape:
+        raise ValueError(f"length mismatch: estimate {e.shape} vs reference {r.shape}")
+    if centered:
+        e, r = e - e.mean(), r - r.mean()
+    ref_power = float(r @ r)
+    if ref_power == 0.0:
+        raise ValueError("reference signal is silent")
+    return e, r, ref_power
+
+
 def _ratio_db(p_num: float, p_den: float) -> float:
     if p_num == 0.0:
         return -SI_SNR_CAP_DB
@@ -56,15 +71,7 @@ def si_snr(est, ref) -> float:
     reference, and the energy ratio of the projection to the residual is
     returned, capped to +-SI_SNR_CAP_DB.
     """
-    e = _samples(est)
-    r = _samples(ref)
-    if e.shape != r.shape:
-        raise ValueError(f"length mismatch: estimate {e.shape} vs reference {r.shape}")
-    e = e - e.mean()
-    r = r - r.mean()
-    ref_power = float(r @ r)
-    if ref_power == 0.0:
-        raise ValueError("reference signal is silent")
+    e, r, ref_power = _pair(est, ref, centered=True)
     target = (float(e @ r) / ref_power) * r
     residual = e - target
     return _ratio_db(float(target @ target), float(residual @ residual))
@@ -72,24 +79,23 @@ def si_snr(est, ref) -> float:
 
 def plain_snr(est, ref) -> float:
     """Ordinary (scale-sensitive) SNR of ``est`` against ``ref`` in dB."""
-    e = _samples(est)
-    r = _samples(ref)
-    if e.shape != r.shape:
-        raise ValueError(f"length mismatch: estimate {e.shape} vs reference {r.shape}")
-    ref_power = float(r @ r)
-    if ref_power == 0.0:
-        raise ValueError("reference signal is silent")
+    e, r, ref_power = _pair(est, ref, centered=False)
     diff = e - r
     return _ratio_db(ref_power, float(diff @ diff))
 
 
 def phase_cos_sim(phase_est, phase_ref) -> float:
     """Mean cosine of the per-bin phase difference, every bin weighted alike."""
+    return float(_elementwise(_cos_of_difference, *_phases(phase_est, phase_ref)).mean())
+
+
+def _phases(phase_est, phase_ref) -> tuple[np.ndarray, np.ndarray]:
+    """Both phase arrays as float64; ``ValueError`` unless their shapes match."""
     pe = np.asarray(phase_est, dtype=np.float64)
     pr = np.asarray(phase_ref, dtype=np.float64)
     if pe.shape != pr.shape:
         raise ValueError(f"shape mismatch: {pe.shape} vs {pr.shape}")
-    return float(_elementwise(_cos_of_difference, pe, pr).mean())
+    return pe, pr
 
 
 def _cos_of_difference(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -148,11 +154,7 @@ def inconsistency(mag, phase, cfg: StftConfig, origin_length: int | None = None)
 
 def phase_error_map(phase_est, phase_ref) -> np.ndarray:
     """Per-bin angular distance between two phase arrays, in [0, pi]."""
-    pe = np.asarray(phase_est, dtype=np.float64)
-    pr = np.asarray(phase_ref, dtype=np.float64)
-    if pe.shape != pr.shape:
-        raise ValueError(f"shape mismatch: {pe.shape} vs {pr.shape}")
-    return angular_distance(pe, pr)
+    return angular_distance(*_phases(phase_est, phase_ref))
 
 
 def metric_row(

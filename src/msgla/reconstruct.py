@@ -27,6 +27,7 @@ from .spectral import (
     _analyze,
     _angle,
     _elementwise,
+    _estimate,
     _expj,
     _synthesize,
     _whole_number,
@@ -107,12 +108,13 @@ class ReconReport:
 
 @dataclass
 class Estimates:
-    """Spectral quantities a reconstruction method may consume."""
+    """Spectral quantities a reconstruction method may consume; ``sign`` holds one
+    value in [-1, 1] per bin, as :func:`~msgla.geometry.oracle_sign` returns."""
 
     mag_speech: np.ndarray | None = None
     mag_noise: np.ndarray | None = None
     phase_noise: np.ndarray | None = None
-    sign: object | None = None
+    sign: np.ndarray | None = None
 
 
 def _stats(
@@ -141,18 +143,6 @@ def _stats(
             else float(np.mean(nearest_candidate_distance(angles(z), candidates)))
         ),
     )
-
-
-def _estimate(name: str, value, shape, *, nonnegative: bool = True) -> np.ndarray:
-    """Validate one caller-supplied estimate against the mixture's ``shape``."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.shape != shape:
-        raise ValueError(f"{name} shape {arr.shape} does not match spectrogram shape {shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite values")
-    if nonnegative and np.any(arr < 0):
-        raise ValueError(f"{name} contains negative values")
-    return arr
 
 
 def _unit(values: np.ndarray, mag: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -218,13 +208,13 @@ def _run(noisy: Spectrogram, mag, update, cfg: ReconConfig, ref_phase, candidate
     the final inconsistency and goes on the report. Angles are formed once,
     for ``final_phase``, and per iteration only when a traced run is given
     ``candidates``. A bin whose phasor never moved from ``z0`` reports
-    ``phase`` exactly as given. A traced run forms the phasor of
-    ``ref_phase`` once and compares every iterate with it.
+    ``phase`` exactly as given. A given ``ref_phase`` is checked, traced or
+    not; a traced run forms its phasor once and compares every iterate with it.
     """
     stft_cfg, length = noisy.config, noisy.origin_length
-    ref = None
-    if cfg.trace and ref_phase is not None:
-        ref = _expj(_estimate("ref_phase", ref_phase, mag.shape, nonnegative=False))
+    if ref_phase is not None:
+        ref_phase = _estimate("ref_phase", ref_phase, mag.shape, nonnegative=False)
+    ref = _expj(ref_phase) if cfg.trace and ref_phase is not None else None
 
     def angles(z):
         return phase if z is z0 else np.where(z == z0, phase, wrap_phase(_angle(z)))
@@ -352,9 +342,9 @@ def enhance(
     phase; ``sign`` applies a supplied sign field to the law-of-cosines
     candidates in one shot.
 
-    Every estimate the method uses is checked before any work starts: it must
-    be present, have the mixture's shape and be finite, and magnitudes must be
-    non-negative.
+    Every estimate the method uses, and ``ref_phase``, is checked before any
+    STFT: it must be present, have the mixture's shape and be finite, and
+    magnitudes must be non-negative; a sign field must lie in [-1, 1].
     """
     cfg = cfg if cfg is not None else ReconConfig()
     est = estimates if estimates is not None else Estimates()
@@ -368,9 +358,6 @@ def enhance(
             raise ValueError(f"method '{method}' requires estimate '{name}'")
         return value
 
-    def needed(name: str) -> np.ndarray:
-        return _estimate(name, present(name), noisy.values.shape)
-
     # Looked up per call: the names may be rebound on the module (a tracer does).
     loops = {"gla": gla, "nm": nm_msgla, "np": np_msgla}
     if method in loops:
@@ -378,9 +365,12 @@ def enhance(
         report = loops[method](noisy, *needs, cfg, ref_phase=ref_phase, candidates=candidates)
     else:
         mag_mix, phase = decompose(noisy)
-        mag = mag_mix if method == "passthrough" and est.mag_speech is None else needed("mag_speech")
+        if method == "passthrough" and est.mag_speech is None:
+            mag = mag_mix
+        else:
+            mag = _estimate("mag_speech", present("mag_speech"), mag_mix.shape)
         if method == "sign":
-            mag_noise, sign = needed("mag_noise"), present("sign")
+            mag_noise, sign = present("mag_noise"), present("sign")
             cand = cosine_phase_candidates(mag_mix, phase, mag, mag_noise)
             phase = apply_sign_field(phase, cand.abs_delta, sign)
         no_loop = replace(cfg, iterations=0)

@@ -179,6 +179,24 @@ def _whole_number(name: str, value, positive: bool) -> int:
     return int(value)
 
 
+def _estimate(name: str, value, shape, *, nonnegative: bool = True) -> np.ndarray:
+    """``value`` as a float64 array; ``ValueError`` naming ``name`` unless it has
+    the mixture's ``shape`` and finite values, non-negative as ``nonnegative`` says.
+
+    Every public function checks each estimate it takes here, before any work.
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape:
+        raise ValueError(f"{name} shape {arr.shape} does not match the mixture's shape {shape}")
+    # The least and greatest values are NaN if any value is, and infinite if any is.
+    low, high = (arr.min(), arr.max()) if arr.size else (0.0, 0.0)
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError(f"{name} contains non-finite values")
+    if nonnegative and low < 0:
+        raise ValueError(f"{name} contains negative values")
+    return arr
+
+
 @dataclass(frozen=True)
 class StftConfig:
     """Transform configuration shared by analysis, synthesis and projection.
@@ -265,9 +283,14 @@ class Spectrogram:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("spectrogram contains non-finite values")
-        self.origin_length = int(self.origin_length)
-        if self.origin_length < 0:
-            raise ValueError("origin_length must be non-negative")
+        self.origin_length = _whole_number("origin_length", self.origin_length, positive=False)
+        self.sample_rate = _whole_number("sample_rate", self.sample_rate, positive=True)
+        frames = frame_count(self.origin_length, self.config)
+        if frames != self.values.shape[0]:
+            raise ValueError(
+                f"origin_length {self.origin_length} is analyzed into {frames} frames, "
+                f"but the spectrogram has {self.values.shape[0]}"
+            )
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -753,10 +753,10 @@ def _refuse_io(*args, **kwargs):
         ("analyze", None, ["--seed", "-1"], "--seed"),
         ("enhance", None, ["--hop", "512"], "--window/--hop"),
         ("oracle-exp", None, ["--window", "256", "--hop", "256"], "--window/--hop"),
-        ("candidates", None, ["--floor", "nan"], "--floor"),
-        ("candidates", None, ["--floor", "inf"], "--floor"),
-        ("candidates", None, ["--floor", "0"], "--floor"),
-        ("candidates", None, ["--floor=-1e-12"], "--floor"),
+        ("oracle-exp", None, ["--duration", "nan"], "--duration"),
+        ("oracle-exp", None, ["--duration", "inf"], "--duration"),
+        ("oracle-exp", None, ["--duration=-0.5"], "--duration"),
+        ("candidates", {"floor": 1e-12}, [], "unknown config file keys: ['floor']"),
         ("oracle-exp", None, ["--snr-grid", "0", "nan"], "--snr-grid"),
         ("oracle-exp", None, ["--snr-grid=-inf"], "--snr-grid"),
         ("analyze", None, ["--snr-db", "nan"], "--snr-db"),
@@ -767,6 +767,7 @@ def _refuse_io(*args, **kwargs):
         ("oracle-exp", None, ["--duration", "0.00002"], "--duration"),
         ("oracle-exp", None, ["--duration", "0.01"], "--sample-rate"),
         ("oracle-exp", {"duration": 0.01}, [], "--window"),
+        ("candidates", None, ["--floor", "1e-12"], "unrecognized arguments: --floor"),
     ],
 )
 def test_bad_values_are_usage_errors_before_any_work(

@@ -98,6 +98,34 @@ def test_mixture_of_no_sample_is_rejected_without_a_numpy_warning(kind):
             synthesize_mixture(kind, 0.0, 0.00002, 16000, 0)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"kind": "bogus"}, "kind"),
+        ({"snr_db": float("nan")}, "snr_db"),
+        ({"snr_db": -float("inf")}, "snr_db"),
+        ({"duration_s": 0.0}, "duration_s"),
+        ({"duration_s": float("nan")}, "duration_s"),
+        ({"duration_s": 0.00002}, "duration_s"),
+        ({"sample_rate": 1.5}, "sample_rate"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+def test_a_bad_mixture_is_rejected_when_its_spec_is_made(fields, name):
+    with pytest.raises(ValueError, match=name):
+        MixtureSpec(**fields)
+
+
+def test_a_mixture_too_short_to_analyze_fails_before_any_cell():
+    # Six good mixtures and a bad seventh: the spec is refused, so no cell runs.
+    mixtures = [MixtureSpec("harmonic", 0.0, 0.25, 16000, seed) for seed in range(6)]
+    mixtures.append(MixtureSpec("harmonic", 0.0, 0.01, 16000, 6))
+    with pytest.raises(ValueError, match="duration_s 0.01 at sample_rate 16000 gives 160 samples"):
+        ExperimentSpec(mixtures=mixtures, methods=["nm"])
+    # The shortest mixture that analyzes is half a window and one sample.
+    ExperimentSpec(mixtures=[MixtureSpec(duration_s=257 / 16000)], methods=["nm"])
+
+
 def test_speech_shaped_mixture_of_two_samples():
     tri = synthesize_mixture("speech_shaped", 0.0, 2 / 16000, 16000, 0)
     assert len(tri.noisy) == 2

@@ -205,10 +205,35 @@ def test_linearity():
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
 
 
+@pytest.mark.parametrize(
+    "origin_length, sample_rate, message",
+    [
+        (1024.7, 16000, "origin_length must be a non-negative integer"),
+        (float("nan"), 16000, "origin_length must be a non-negative integer"),
+        (-1, 16000, "origin_length must be a non-negative integer"),
+        (1024, -5, "sample_rate must be a positive integer"),
+        (1024, 1.5, "sample_rate must be a positive integer"),
+        # 5 frames hold 1024 samples at most; this length would analyze into 392.
+        (100000, 16000, "origin_length 100000 is analyzed into 392 frames, but the spectrogram has 5"),
+        (1025, 16000, "origin_length 1025 is analyzed into 6 frames"),
+    ],
+)
+def test_spectrogram_rejects_a_length_or_rate_that_does_not_fit(origin_length, sample_rate, message):
+    cfg = StftConfig()
+    with pytest.raises(ValueError, match=message):
+        Spectrogram(np.zeros((5, cfg.n_bins)), cfg, origin_length, sample_rate)
+
+
+def test_spectrogram_accepts_every_length_of_its_frame_count():
+    cfg = StftConfig()
+    for length in (769, 1024.0):
+        assert Spectrogram(np.zeros((5, cfg.n_bins)), cfg, length).origin_length == int(length)
+
+
 def test_decompose_trivials():
     cfg = StftConfig(window_length=4, hop_length=2)
     values = np.array([[1 + 0j, 1j, 0j]])
-    mag, phase = decompose(Spectrogram(values, cfg, 4, 16000))
+    mag, phase = decompose(Spectrogram(values, cfg, canonical_length(1, cfg), 16000))
     assert np.allclose(mag, [[1.0, 1.0, 0.0]])
     assert np.allclose(phase, [[0.0, np.pi / 2, 0.0]])
 
