@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import struct
@@ -125,19 +124,29 @@ def format_number(value) -> str:
     return str(value)
 
 
+def _cell(value) -> str:
+    """:func:`format_number`'s text, quoted as ``csv.writer`` quotes a comma, quote or line break."""
+    text = format_number(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_csv(path, columns, header=None) -> None:
     """Write equal-length 1-D arrays as CSV columns, formatted column by column.
 
-    Float cells get :func:`format_number`'s 9 significant digits, others their
-    ``str``: the bytes ``csv.writer`` writes for the same cells, CRLF included.
+    Float columns get :func:`format_number`'s text, integer columns ``str``
+    and object columns :func:`_cell`'s: the bytes ``csv.writer`` writes, CRLF included.
     """
     with Path(path).open("w", newline="") as handle:
         if header:
-            handle.write(",".join(header) + "\r\n")
+            handle.write(",".join(map(_cell, header)) + "\r\n")
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
             parts = [column[start : start + _CSV_CHUNK_ROWS] for column in columns]
             cells = [
-                [f"{v:.9g}" for v in p.tolist()] if p.dtype.kind == "f" else map(str, p.tolist()) for p in parts
+                [f"{v:.9g}" for v in p.tolist()] if p.dtype.kind == "f"
+                else map(_cell if p.dtype.kind == "O" else str, p.tolist())
+                for p in parts
             ]
             handle.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
@@ -172,11 +181,8 @@ def persist_run(artifact: RunArtifact, out_dir) -> Path:
         rows.append(filled)
 
     csv_path = out_dir / "results.csv"
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(artifact.columns)
-        for row in rows:
-            writer.writerow([format_number(row.get(col, "")) for col in artifact.columns])
+    cells = [np.array([row.get(col, "") for row in rows], dtype=object) for col in artifact.columns]
+    _write_csv(csv_path, cells, header=artifact.columns)
 
     json_path = out_dir / "results.json"
     payload = {
@@ -187,7 +193,7 @@ def persist_run(artifact: RunArtifact, out_dir) -> Path:
         "columns": artifact.columns,
         "rows": rows,
     }
-    json_path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_json(json_path, payload)
 
     manifest_path = out_dir / "manifest.json"
     manifest = {
@@ -198,5 +204,11 @@ def persist_run(artifact: RunArtifact, out_dir) -> Path:
         "row_count": len(rows),
         "files": {"results_csv": csv_path.name, "results_json": json_path.name},
     }
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_json(manifest_path, manifest)
     return manifest_path
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as sorted, indented JSON; ``str`` stands in for what JSON cannot hold."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio_io import RunArtifact, _write_csv, persist_run, read_wav, write_wav
+from .audio_io import RunArtifact, _write_csv, _write_json, persist_run, read_wav, write_wav
 from .geometry import cosine_phase_candidates, nearest_candidate_distance, sine_phase_candidates
 from .harness import (
     EstimateProvider,
@@ -144,11 +144,6 @@ def _read_aligned(path, reference, what: str, reference_name: str):
     if len(wave) != len(reference):
         raise UsageError(f"{what} has {len(wave)} samples but {reference_name} has {len(reference)}")
     return wave
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
 
 
 def cmd_enhance(cfg: dict, stft_cfg: StftConfig) -> int:

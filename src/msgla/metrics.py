@@ -140,7 +140,7 @@ def weighted_frobenius(values, cfg: StftConfig) -> float:
     return float(np.sqrt(2.0 * _dot(parts, parts) - _dot(edges, edges)))
 
 
-def inconsistency(mag, phase, cfg: StftConfig, origin_length: int | None = None) -> float:
+def inconsistency(mag, phase, cfg: StftConfig, origin_length: int) -> float:
     """Distance of ``mag * exp(j*phase)`` from its consistency projection.
 
     Measured as the Frobenius norm on the full conjugate-symmetric
@@ -164,7 +164,7 @@ def metric_row(
     phase_ref,
     mag,
     cfg: StftConfig,
-    origin_length: int | None = None,
+    origin_length: int,
 ) -> MetricRow:
     """Bundle the standard evaluation metrics for one enhanced signal."""
     return MetricRow(

@@ -274,23 +274,30 @@ class Spectrogram:
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 2:
-            raise ValueError(f"spectrogram must be two-dimensional, got shape {self.values.shape}")
-        if self.values.shape[1] != self.config.n_bins:
-            raise ValueError(
-                f"spectrogram has {self.values.shape[1]} bins but config implies {self.config.n_bins}"
-            )
+        self.values, self.origin_length = _grid(self.values, self.config, self.origin_length)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("spectrogram contains non-finite values")
-        self.origin_length = _whole_number("origin_length", self.origin_length, positive=False)
         self.sample_rate = _whole_number("sample_rate", self.sample_rate, positive=True)
-        frames = frame_count(self.origin_length, self.config)
-        if frames != self.values.shape[0]:
-            raise ValueError(
-                f"origin_length {self.origin_length} is analyzed into {frames} frames, "
-                f"but the spectrogram has {self.values.shape[0]}"
-            )
+
+
+def _grid(values, cfg: StftConfig, origin_length) -> tuple[np.ndarray, int]:
+    """``values`` as a complex128 array and ``origin_length`` as an int, on one STFT grid.
+
+    ``ValueError`` naming the field unless ``values`` is 2-D with ``cfg.n_bins``
+    bins and ``origin_length`` is a non-negative whole number that ``cfg``
+    analyzes into as many frames as ``values`` has. Every inversion holds this
+    rule before its first FFT.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    if values.ndim != 2 or values.shape[1] != cfg.n_bins:
+        raise ValueError(f"values must be a (frames, {cfg.n_bins}) array for this config, got shape {values.shape}")
+    length = _whole_number("origin_length", origin_length, positive=False)
+    frames = frame_count(length, cfg)
+    if frames != values.shape[0]:
+        raise ValueError(
+            f"origin_length {length} is analyzed into {frames} frames, but the spectrogram has {values.shape[0]}"
+        )
+    return values, length
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -357,38 +364,33 @@ def _overlap_add(segments: np.ndarray, hop: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=DENOMINATOR_CACHE_SIZE)
-def _fold_indices(pad: int, length: int, total: int) -> tuple[np.ndarray, ...]:
+def _fold_indices(pad: int, length: int) -> tuple[np.ndarray, ...]:
     """Source samples and the buffer positions whose reflections land on them, read-only."""
     t_left = np.arange(1, min(pad, length - 1) + 1)
     q = np.arange(pad)
     t_right = length - 2 - q
-    p_right = pad + length + q
-    keep = (t_right >= 0) & (p_right < total)
-    indices = (t_left, pad - t_left, t_right[keep], p_right[keep])
+    keep = t_right >= 0
+    indices = (t_left, pad - t_left, t_right[keep], (pad + length + q)[keep])
     for index in indices:
         index.setflags(write=False)
     return indices
 
 
-def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> tuple[np.ndarray, int]:
-    """Map an overlap-added buffer onto the ``length`` source samples.
+def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
+    """Map the overlap-added buffer of a signal's frames onto its ``length`` samples.
 
-    Returns them with the count the buffer covers; the samples past it are 0.
+    On the STFT grid (``_grid``) the buffer covers every sample and its reflections.
     """
     pad = cfg.window_length // 2
-    total = buffer.shape[0]
-    out = np.zeros(length)
-    covered = min(length, max(total - pad, 0))
-    out[:covered] = buffer[pad : pad + covered]
+    out = buffer[pad : pad + length].copy()
     if length > 1:
         # Fold the windowed energy that landed on reflected padding back onto
         # the source samples; with this, synthesis is the exact least-squares
         # inverse of the centered analysis operator.
-        t_left, p_left, t_right, p_right = _fold_indices(pad, length, total)
+        t_left, p_left, t_right, p_right = _fold_indices(pad, length)
         out[t_left] += buffer[p_left]
         out[t_right] += buffer[p_right]
-    out[covered:] = 0.0
-    return out, covered
+    return out
 
 
 def _check_invertible(cfg: StftConfig) -> None:
@@ -410,14 +412,13 @@ def _check_invertible(cfg: StftConfig) -> None:
 
 @lru_cache(maxsize=DENOMINATOR_CACHE_SIZE)
 def _denominator(cfg: StftConfig, frames: int, length: int) -> np.ndarray:
-    """Folded overlap-added window power of the covered samples, read-only.
+    """Folded overlap-added window power of the ``length`` samples, read-only.
 
     Raises ``ValueError`` when it falls below ``COLA_FLOOR`` anywhere.
     """
     window = cfg.window()
     wsq = np.broadcast_to(window * window, (frames, cfg.window_length))
-    folded, covered = _fold(_overlap_add(wsq, cfg.hop_length), cfg, length)
-    core = folded[:covered]
+    core = _fold(_overlap_add(wsq, cfg.hop_length), cfg, length)
     if np.any(core < COLA_FLOOR):
         t = int(np.argmax(core < COLA_FLOOR))
         raise ValueError(
@@ -429,12 +430,7 @@ def _denominator(cfg: StftConfig, frames: int, length: int) -> np.ndarray:
 
 
 def _synthesize(values: np.ndarray, cfg: StftConfig, origin_length: int) -> np.ndarray:
-    values = np.asarray(values, dtype=np.complex128)
-    if values.ndim != 2 or values.shape[1] != cfg.n_bins:
-        raise ValueError(
-            f"expected a (frames, {cfg.n_bins}) array for this config, got shape {values.shape}"
-        )
-    length = int(origin_length)
+    values, length = _grid(values, cfg, origin_length)
     frames = values.shape[0]
     core = _denominator(cfg, frames, length)
     w = cfg.window_length
@@ -446,8 +442,8 @@ def _synthesize(values: np.ndarray, cfg: StftConfig, origin_length: int) -> np.n
         segments[lo:hi, :w] *= window
 
     _halves(rows, frames, segments.size)
-    out, covered = _fold(_overlap_add(segments[:, :w], cfg.hop_length), cfg, length)
-    out[:covered] /= core
+    out = _fold(_overlap_add(segments[:, :w], cfg.hop_length), cfg, length)
+    out /= core
     return out
 
 
@@ -508,14 +504,10 @@ def recompose(mag, phase) -> np.ndarray:
     return _elementwise(np.multiply, mag, _expj(phase))
 
 
-def project_values(values, cfg: StftConfig, origin_length: int | None = None) -> np.ndarray:
+def project_values(values, cfg: StftConfig, origin_length: int) -> np.ndarray:
     """Nearest consistent spectrogram to ``values``: ``stft(istft(values))``.
 
-    ``origin_length`` fixes the length of the intermediate time signal; it
-    defaults to the canonical length for the given frame count. Passing the
-    true origin length makes consistent inputs exact fixed points.
+    ``origin_length`` is the length of the intermediate time signal, and must
+    analyze into as many frames as ``values`` has.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    if origin_length is None:
-        origin_length = canonical_length(values.shape[0], cfg)
     return _analyze(_synthesize(values, cfg, origin_length), cfg)

@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 import subprocess
@@ -145,6 +146,26 @@ def test_persist_run_stamps_fingerprint_into_rows(tmp_path):
     manifest = json.loads(path.read_text())
     results = json.loads((tmp_path / "stamp" / "results.json").read_text())
     assert all(r["fingerprint"] == manifest["fingerprint"] for r in results["rows"])
+
+
+def test_results_csv_has_the_bytes_csv_writer_writes(tmp_path):
+    # Every cell kind a row may hold, and text that csv.writer quotes.
+    columns = ["kind", "seed", "snr_db", "score", "note", "fingerprint"]
+    rows = [
+        {"kind": "cell", "seed": 3, "snr_db": float("inf"), "score": 0.1234567891234, "note": None},
+        {"kind": "mean", "seed": "", "snr_db": "", "score": float("nan"), "note": 'a, "quoted"\nline'},
+        {"kind": "cell", "seed": np.int64(7), "snr_db": -6.0, "score": np.float64(-1e-300), "note": True},
+        {"kind": "cell", "score": 2.0, "note": "x\ry"},
+    ]
+    persist_run(RunArtifact(columns, rows, seeds=[0]), tmp_path)
+    run_id = json.loads((tmp_path / "manifest.json").read_text())["fingerprint"]
+    with (tmp_path / "expected.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for row in rows:
+            filled = dict(row, fingerprint=run_id)
+            writer.writerow([format_number(filled.get(col, "")) for col in columns])
+    assert (tmp_path / "results.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 def test_importing_the_cli_does_not_load_scipy_io():

@@ -19,7 +19,7 @@ from msgla.metrics import (
     si_snr,
     weighted_frobenius,
 )
-from msgla.spectral import StftConfig, Waveform, decompose, stft
+from msgla.spectral import StftConfig, Waveform, canonical_length, decompose, stft
 
 
 def _zero_mean(rng, n):
@@ -121,7 +121,7 @@ def test_inconsistency_zero_iff_consistent():
 def test_inconsistency_zero_spectrogram():
     cfg = StftConfig()
     shape = (9, cfg.n_bins)
-    assert inconsistency(np.zeros(shape), np.zeros(shape), cfg) == 0.0
+    assert inconsistency(np.zeros(shape), np.zeros(shape), cfg, canonical_length(9, cfg)) == 0.0
 
 
 @settings(max_examples=150, deadline=None)

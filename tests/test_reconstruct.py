@@ -206,7 +206,7 @@ def test_magnitude_distance_nonincreasing_in_weighted_norm():
     values = []
     for k in range(31):
         phase = gla(_grid(mag), mag, ReconConfig(iterations=k, init="zero")).final_phase
-        projected = project_values(recompose(mag, phase), CFG)
+        projected = project_values(recompose(mag, phase), CFG, canonical_length(9, CFG))
         gap = mag - np.abs(projected)
         values.append(float(np.sqrt(np.sum(weights * gap**2))))
     assert np.all(np.diff(values) <= 1e-9)

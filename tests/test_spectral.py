@@ -1,4 +1,5 @@
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from msgla.spectral import (
     wrap_phase,
 )
 from msgla.harness import synthesize_mixture
-from msgla.metrics import bin_weights, inconsistency
+from msgla.metrics import bin_weights, inconsistency, metric_row, weighted_frobenius
 
 
 def _naive_dft(frame: np.ndarray, n_fft: int) -> np.ndarray:
@@ -230,6 +231,59 @@ def test_spectrogram_accepts_every_length_of_its_frame_count():
         assert Spectrogram(np.zeros((5, cfg.n_bins)), cfg, length).origin_length == int(length)
 
 
+def _refuse_irfft(*args, **kwargs):
+    raise AssertionError("an inverse FFT ran before the STFT grid was checked")
+
+
+_GRID_CFG = StftConfig()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda frames: st.tuples(st.just(frames), st.integers(0, (frames + 1) * _GRID_CFG.hop_length))
+    )
+)
+# 5 frames hold 1024 samples at most: a length that analyzes into 392 frames,
+# a fractional length and NaN
+@example((5, 100000))
+@example((5, 1024.7))
+@example((5, float("nan")))
+def test_every_inversion_holds_one_stft_grid_rule(case):
+    # istft, project_values, inconsistency and metric_row accept exactly the
+    # lengths that analyze into the array's frames, and reject every other
+    # length by name before any inverse FFT runs.
+    frames, length = case
+    cfg = _GRID_CFG
+    rng = np.random.default_rng(frames)
+    values = rng.standard_normal((frames, cfg.n_bins)) + 1j * rng.standard_normal((frames, cfg.n_bins))
+    mag, phase = decompose(values)
+    wave = rng.standard_normal(8)
+    calls = {
+        "istft": lambda: istft(Spectrogram(values, cfg, length)).samples,
+        "project_values": lambda: project_values(values, cfg, length),
+        "inconsistency": lambda: inconsistency(mag, phase, cfg, length),
+        "metric_row": lambda: metric_row(wave, wave, phase, phase, mag, cfg, length).inconsistency,
+    }
+    if not (isinstance(length, int) and frame_count(length, cfg) == frames):
+        for call in calls.values():
+            with mock.patch.object(np.fft, "irfft", _refuse_irfft), pytest.raises(ValueError, match="^origin_length"):
+                call()
+        return
+    signal = _synthesize(values, cfg, length)
+    assert calls["istft"]().tobytes() == signal.tobytes()
+    if length < cfg.window_length // 2 + 1:
+        # too short to analyze again, which the analysis says
+        for name in ("project_values", "inconsistency", "metric_row"):
+            with pytest.raises(ValueError, match="too short"):
+                calls[name]()
+        return
+    assert calls["project_values"]().tobytes() == _analyze(signal, cfg).tobytes()
+    s = recompose(mag, phase)
+    expected = weighted_frobenius(s - _analyze(_synthesize(s, cfg, length), cfg), cfg)
+    assert calls["inconsistency"]() == calls["metric_row"]() == expected
+
+
 def test_decompose_trivials():
     cfg = StftConfig(window_length=4, hop_length=2)
     values = np.array([[1 + 0j, 1j, 0j]])
@@ -275,7 +329,8 @@ def test_consistency_project_fixed_point():
 
 def test_consistency_project_zero_magnitude():
     cfg = StftConfig()
-    projected = project_values(recompose(np.zeros((9, cfg.n_bins)), np.zeros((9, cfg.n_bins))), cfg)
+    zeros = np.zeros((9, cfg.n_bins))
+    projected = project_values(recompose(zeros, zeros), cfg, canonical_length(9, cfg))
     assert np.all(projected == 0)
 
 
@@ -283,8 +338,8 @@ def test_consistency_project_idempotent():
     cfg = StftConfig()
     rng = np.random.default_rng(29)
     values = rng.standard_normal((12, cfg.n_bins)) + 1j * rng.standard_normal((12, cfg.n_bins))
-    once = project_values(values, cfg)
-    twice = project_values(once, cfg)
+    once = project_values(values, cfg, canonical_length(12, cfg))
+    twice = project_values(once, cfg, canonical_length(12, cfg))
     assert np.max(np.abs(twice - once)) < 1e-10 * max(np.max(np.abs(once)), 1.0)
 
 
@@ -295,10 +350,11 @@ def test_projection_beats_arbitrary_phase():
     rng = np.random.default_rng(31)
     mag = rng.uniform(0.0, 1.0, size=(10, cfg.n_bins))
     phase = rng.uniform(-np.pi, np.pi, size=(10, cfg.n_bins))
-    projected = project_values(recompose(mag, phase), cfg)
+    length = canonical_length(10, cfg)
+    projected = project_values(recompose(mag, phase), cfg, length)
     _, adapted_phase = decompose(projected)
     other_phase = rng.uniform(-np.pi, np.pi, size=mag.shape)
-    assert inconsistency(mag, adapted_phase, cfg) < inconsistency(mag, other_phase, cfg)
+    assert inconsistency(mag, adapted_phase, cfg, length) < inconsistency(mag, other_phase, cfg, length)
 
 
 def test_canonical_length_round_trip():
@@ -385,7 +441,9 @@ def test_analyze_matches_frame_by_frame_reference(cfg, n, seed):
 def _synthesis_cases(draw):
     cfg = draw(_configs())
     frames = draw(st.integers(1, 9))
-    length = draw(st.integers(0, (frames + 1) * cfg.hop_length + cfg.window_length))
+    # a length that cfg analyzes into ``frames`` frames: 0 for one frame
+    hop = cfg.hop_length
+    length = 0 if frames == 1 else draw(st.integers((frames - 2) * hop + 1, (frames - 1) * hop))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (frames, cfg.n_bins)
     return cfg, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), length
@@ -520,9 +578,8 @@ def test_wrap_phase_matches_np_mod_formula_bit_for_bit(angles):
 def test_cached_fold_indices_are_read_only():
     cfg = StftConfig()
     pad, length = cfg.window_length // 2, 2048
-    total = (frame_count(length, cfg) - 1) * cfg.hop_length + cfg.window_length
-    indices = _fold_indices(pad, length, total)
-    assert indices is _fold_indices(pad, length, total)
+    indices = _fold_indices(pad, length)
+    assert indices is _fold_indices(pad, length)
     assert all(index.size for index in indices)
     for index in indices:
         with pytest.raises(ValueError, match="read-only"):
