@@ -194,24 +194,17 @@ def cmd_enhance(cfg: dict, stft_cfg: StftConfig) -> int:
 
 
 def cmd_oracle_exp(cfg: dict, stft_cfg: StftConfig) -> int:
-    samples, shortest = round(cfg["duration"] * cfg["sample_rate"]), cfg["window"] // 2 + 1
-    if samples < shortest:
-        raise UsageError(
-            f"--duration {cfg['duration']} at --sample-rate {cfg['sample_rate']} gives {samples} samples; "
-            f"centered analysis with --window {cfg['window']} needs at least {shortest}"
-        )
-    mixtures = [
-        MixtureSpec(cfg["kind"], snr, cfg["duration"], cfg["sample_rate"], seed)
-        for snr in cfg["snr_grid"]
-        for seed in cfg["seeds"]
-    ]
-    spec = ExperimentSpec(
-        mixtures=mixtures,
-        methods=cfg["methods"],
-        provider_pairs=default_provider_pairs(cfg["noise_std"], cfg["provider_seed"]),
-        stft_cfg=stft_cfg,
-        recon_cfg=ReconConfig(iterations=cfg["iters"], init=cfg["init"], trace=False),
-    )
+    provider_pairs = default_provider_pairs(cfg["noise_std"], cfg["provider_seed"])
+    recon_cfg = ReconConfig(iterations=cfg["iters"], init=cfg["init"], trace=False)
+    try:
+        mixtures = [
+            MixtureSpec(cfg["kind"], snr, cfg["duration"], cfg["sample_rate"], seed)
+            for snr in cfg["snr_grid"]
+            for seed in cfg["seeds"]
+        ]
+        spec = ExperimentSpec(mixtures, cfg["methods"], provider_pairs, stft_cfg, recon_cfg)
+    except ValueError as exc:
+        raise UsageError(f"--duration/--sample-rate/--window: {exc}") from exc
     # performance knobs (jobs) and output location stay out of the fingerprint
     science = {k: v for k, v in cfg.items() if k not in ("command", "jobs", "out_dir")}
     science["phase_cos_sim_weighting"] = "unweighted"

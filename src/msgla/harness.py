@@ -18,7 +18,8 @@ import numpy as np
 from .geometry import cosine_phase_candidates, oracle_sign
 from .metrics import phase_cos_sim, plain_snr, si_snr
 from .reconstruct import METHOD_NEEDS, Estimates, ReconConfig, ReconReport, enhance
-from .spectral import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, Waveform, _whole_number, decompose, stft, wrap_phase
+from .spectral import DEFAULT_SAMPLE_RATE, Spectrogram, StftConfig, Waveform, decompose, stft, wrap_phase
+from .spectral import _check_analyzable, _whole_number
 
 __all__ = [
     "MixtureTriple",
@@ -124,6 +125,7 @@ class EstimateProvider:
             raise ValueError(f"provider kind must be one of {PROVIDER_KINDS}, got {self.kind!r}")
         if not np.isfinite(self.noise_std) or self.noise_std < 0:
             raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")
+        object.__setattr__(self, "seed", _whole_number("seed", self.seed, positive=False))
 
     def label(self) -> str:
         if self.kind == "perturbed_oracle":
@@ -268,14 +270,10 @@ class ExperimentSpec:
         for method in self.methods:
             if method not in METHOD_NEEDS:
                 raise ValueError(f"unknown method {method!r}")
-        window = self.stft_cfg.window_length
         for mixture in self.mixtures:
             samples = round(mixture.duration_s * mixture.sample_rate)
-            if samples < window // 2 + 1:
-                raise ValueError(
-                    f"duration_s {mixture.duration_s!r} at sample_rate {mixture.sample_rate} gives "
-                    f"{samples} samples; centered analysis with window {window} needs at least {window // 2 + 1}"
-                )
+            subject = f"duration_s {mixture.duration_s!r} at sample_rate {mixture.sample_rate} ({samples} samples)"
+            _check_analyzable(subject, samples, self.stft_cfg)
 
 
 @dataclass

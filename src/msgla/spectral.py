@@ -185,6 +185,8 @@ def _estimate(name: str, value, shape, *, nonnegative: bool = True) -> np.ndarra
 
     Every public function checks each estimate it takes here, before any work.
     """
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real, got complex values")
     arr = np.asarray(value, dtype=np.float64)
     if arr.shape != shape:
         raise ValueError(f"{name} shape {arr.shape} does not match the mixture's shape {shape}")
@@ -284,14 +286,15 @@ def _grid(values, cfg: StftConfig, origin_length) -> tuple[np.ndarray, int]:
     """``values`` as a complex128 array and ``origin_length`` as an int, on one STFT grid.
 
     ``ValueError`` naming the field unless ``values`` is 2-D with ``cfg.n_bins``
-    bins and ``origin_length`` is a non-negative whole number that ``cfg``
-    analyzes into as many frames as ``values`` has. Every inversion holds this
-    rule before its first FFT.
+    bins and ``origin_length`` is a whole number of samples that ``cfg`` can
+    analyze (``_check_analyzable``) into as many frames as ``values`` has: the
+    grids ``stft`` produces. Every inversion holds this rule before its first FFT.
     """
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 2 or values.shape[1] != cfg.n_bins:
         raise ValueError(f"values must be a (frames, {cfg.n_bins}) array for this config, got shape {values.shape}")
     length = _whole_number("origin_length", origin_length, positive=False)
+    _check_analyzable(f"origin_length {length}", length, cfg)
     frames = frame_count(length, cfg)
     if frames != values.shape[0]:
         raise ValueError(
@@ -316,21 +319,29 @@ def canonical_length(n_frames: int, cfg: StftConfig) -> int:
     return (n_frames - 1) * cfg.hop_length
 
 
+def _check_analyzable(subject: str, length: int, cfg: StftConfig) -> None:
+    """``ValueError`` naming ``subject`` unless ``cfg`` can analyze ``length`` samples: centered
+    frames mirror half a window of samples past each end, so one sample more is the least."""
+    shortest = cfg.window_length // 2 + 1
+    if length < shortest:
+        raise ValueError(
+            f"{subject} is too short for centered analysis with window {cfg.window_length}, "
+            f"which needs at least {shortest} samples"
+        )
+
+
 def _analyze(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     n = x.shape[0]
+    _check_analyzable(f"signal of length {n}", n, cfg)
     w, hop = cfg.window_length, cfg.hop_length
     frames = frame_count(n, cfg)
     pad = w // 2
-    if n < pad + 1:
-        raise ValueError(
-            f"signal of length {n} is too short for centered analysis with window {w}"
-        )
     # One buffer holds the reflect padding, the signal and the zero tail that
     # fills the last frame; (frames - 1) * hop + w >= n + 2 * pad always.
     padded = np.zeros((frames - 1) * hop + w)
     padded[pad : pad + n] = x
     padded[:pad] = x[pad:0:-1]
-    padded[pad + n : n + 2 * pad] = x[::-1][1 : pad + 1]
+    padded[pad + n : n + 2 * pad] = x[-2 : -pad - 2 : -1]
     step = padded.strides[0]
     segments = as_strided(padded, (frames, w), (hop * step, step), writeable=False)
     windowed = np.empty((frames, w))
@@ -365,12 +376,10 @@ def _overlap_add(segments: np.ndarray, hop: int) -> np.ndarray:
 
 @lru_cache(maxsize=DENOMINATOR_CACHE_SIZE)
 def _fold_indices(pad: int, length: int) -> tuple[np.ndarray, ...]:
-    """Source samples and the buffer positions whose reflections land on them, read-only."""
-    t_left = np.arange(1, min(pad, length - 1) + 1)
+    """Source samples and the buffer positions whose reflections land on them, read-only;
+    a signal that can be analyzed (``length > pad``) reflects each padding sample once."""
     q = np.arange(pad)
-    t_right = length - 2 - q
-    keep = t_right >= 0
-    indices = (t_left, pad - t_left, t_right[keep], (pad + length + q)[keep])
+    indices = (q + 1, pad - 1 - q, length - 2 - q, pad + length + q)
     for index in indices:
         index.setflags(write=False)
     return indices
@@ -383,13 +392,12 @@ def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
     """
     pad = cfg.window_length // 2
     out = buffer[pad : pad + length].copy()
-    if length > 1:
-        # Fold the windowed energy that landed on reflected padding back onto
-        # the source samples; with this, synthesis is the exact least-squares
-        # inverse of the centered analysis operator.
-        t_left, p_left, t_right, p_right = _fold_indices(pad, length)
-        out[t_left] += buffer[p_left]
-        out[t_right] += buffer[p_right]
+    # Fold the windowed energy that landed on reflected padding back onto
+    # the source samples; with this, synthesis is the exact least-squares
+    # inverse of the centered analysis operator.
+    t_left, p_left, t_right, p_right = _fold_indices(pad, length)
+    out[t_left] += buffer[p_left]
+    out[t_right] += buffer[p_right]
     return out
 
 
@@ -455,8 +463,6 @@ def stft(x: Waveform, cfg: StftConfig | None = None) -> Spectrogram:
     the last frame.
     """
     cfg = cfg if cfg is not None else StftConfig()
-    if len(x) == 0:
-        raise ValueError("cannot analyze an empty signal")
     return Spectrogram(_analyze(x.samples, cfg), cfg, len(x), x.sample_rate)
 
 

@@ -1,7 +1,7 @@
 """One rule for every public function that takes an estimate.
 
 Each estimate, and each mixture array the candidate laws take, must have the
-mixture's shape and finite values; magnitudes must be non-negative and sign
+mixture's shape and finite real values; magnitudes must be non-negative and sign
 fields lie in [-1, 1]. A bad one is a ``ValueError`` that names the argument,
 raised before any analysis or synthesis runs.
 """
@@ -49,11 +49,11 @@ MAG, PHASE, SIGN = "magnitude", "phase", "sign"
 # so they are checked for their values only.
 MIX_MAG, MIX_PHASE = "mixture magnitude", "mixture phase"
 DEFECTS = {
-    MAG: ("nan", "inf", "-inf", "shape", "negative"),
-    PHASE: ("nan", "inf", "-inf", "shape"),
-    SIGN: ("nan", "inf", "-inf", "shape", "above one", "below minus one"),
-    MIX_MAG: ("nan", "inf", "-inf", "negative"),
-    MIX_PHASE: ("nan", "inf", "-inf"),
+    MAG: ("nan", "inf", "-inf", "shape", "negative", "complex"),
+    PHASE: ("nan", "inf", "-inf", "shape", "complex"),
+    SIGN: ("nan", "inf", "-inf", "shape", "above one", "below minus one", "complex"),
+    MIX_MAG: ("nan", "inf", "-inf", "negative", "complex"),
+    MIX_PHASE: ("nan", "inf", "-inf", "complex"),
 }
 
 
@@ -116,6 +116,8 @@ CASES = [
 def _spoiled(value: np.ndarray, defect: str) -> np.ndarray:
     if defect == "shape":
         return value[:1]  # one frame: it would broadcast against the mixture's
+    if defect == "complex":
+        return value * (1 + 1j)  # a float64 cast would keep the real part and warn only
     value = np.array(value)
     value[2, 3] = {
         "nan": np.nan,

@@ -120,7 +120,7 @@ def test_a_mixture_too_short_to_analyze_fails_before_any_cell():
     # Six good mixtures and a bad seventh: the spec is refused, so no cell runs.
     mixtures = [MixtureSpec("harmonic", 0.0, 0.25, 16000, seed) for seed in range(6)]
     mixtures.append(MixtureSpec("harmonic", 0.0, 0.01, 16000, 6))
-    with pytest.raises(ValueError, match="duration_s 0.01 at sample_rate 16000 gives 160 samples"):
+    with pytest.raises(ValueError, match=r"duration_s 0.01 at sample_rate 16000 \(160 samples\) is too short"):
         ExperimentSpec(mixtures=mixtures, methods=["nm"])
     # The shortest mixture that analyzes is half a window and one sample.
     ExperimentSpec(mixtures=[MixtureSpec(duration_s=257 / 16000)], methods=["nm"])
@@ -190,6 +190,11 @@ def test_provider_validation():
         EstimateProvider("dnn")
     with pytest.raises(ValueError, match="noise_std"):
         EstimateProvider("perturbed_oracle", -0.1)
+    # a bad seed would fail only inside the first perturbed cell, in numpy's words
+    for seed in (-1, 1.5, float("nan"), "0"):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            EstimateProvider("perturbed_oracle", 0.3, seed)
+    assert EstimateProvider("perturbed_oracle", 0.3, 2.0).seed == 2
 
 
 @pytest.mark.parametrize("std", [float("nan"), float("inf"), -float("inf")])

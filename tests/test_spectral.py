@@ -188,10 +188,15 @@ def test_istft_cola_violation_raises():
 
 
 def test_stft_errors():
-    with pytest.raises(ValueError, match="empty"):
-        stft(Waveform(np.zeros(0), 16000))
-    with pytest.raises(ValueError, match="too short"):
-        stft(Waveform(np.zeros(10), 16000), StftConfig())
+    # Centered analysis with a window of 512 takes 257 samples or more; the
+    # empty signal is one more signal that is too short.
+    for n in (0, 10, 256):
+        with pytest.raises(ValueError, match=f"^signal of length {n} is too short"):
+            stft(Waveform(np.zeros(n), 16000), StftConfig())
+    assert stft(Waveform(np.zeros(257), 16000)).values.shape == (3, 257)
+    # no signal analyzes into this grid, so it is no spectrogram either
+    with pytest.raises(ValueError, match="^origin_length 256 is too short"):
+        Spectrogram(np.ones((2, 257)), StftConfig(), 256)
 
 
 def test_linearity():
@@ -249,10 +254,13 @@ _GRID_CFG = StftConfig()
 @example((5, 100000))
 @example((5, 1024.7))
 @example((5, float("nan")))
+# two frames of a signal too short to analyze, and the shortest that is not
+@example((2, 256))
+@example((3, 257))
 def test_every_inversion_holds_one_stft_grid_rule(case):
     # istft, project_values, inconsistency and metric_row accept exactly the
-    # lengths that analyze into the array's frames, and reject every other
-    # length by name before any inverse FFT runs.
+    # lengths that stft analyzes into the array's frames, and reject every
+    # other length by name before any inverse FFT runs.
     frames, length = case
     cfg = _GRID_CFG
     rng = np.random.default_rng(frames)
@@ -265,19 +273,14 @@ def test_every_inversion_holds_one_stft_grid_rule(case):
         "inconsistency": lambda: inconsistency(mag, phase, cfg, length),
         "metric_row": lambda: metric_row(wave, wave, phase, phase, mag, cfg, length).inconsistency,
     }
-    if not (isinstance(length, int) and frame_count(length, cfg) == frames):
+    analyzable = isinstance(length, int) and length >= cfg.window_length // 2 + 1
+    if not (analyzable and frame_count(length, cfg) == frames):
         for call in calls.values():
             with mock.patch.object(np.fft, "irfft", _refuse_irfft), pytest.raises(ValueError, match="^origin_length"):
                 call()
         return
     signal = _synthesize(values, cfg, length)
     assert calls["istft"]().tobytes() == signal.tobytes()
-    if length < cfg.window_length // 2 + 1:
-        # too short to analyze again, which the analysis says
-        for name in ("project_values", "inconsistency", "metric_row"):
-            with pytest.raises(ValueError, match="too short"):
-                calls[name]()
-        return
     assert calls["project_values"]().tobytes() == _analyze(signal, cfg).tobytes()
     s = recompose(mag, phase)
     expected = weighted_frobenius(s - _analyze(_synthesize(s, cfg, length), cfg), cfg)
@@ -285,11 +288,12 @@ def test_every_inversion_holds_one_stft_grid_rule(case):
 
 
 def test_decompose_trivials():
+    # the 3 frames of the shortest signal a window of 4 analyzes, 3 samples
     cfg = StftConfig(window_length=4, hop_length=2)
-    values = np.array([[1 + 0j, 1j, 0j]])
-    mag, phase = decompose(Spectrogram(values, cfg, canonical_length(1, cfg), 16000))
-    assert np.allclose(mag, [[1.0, 1.0, 0.0]])
-    assert np.allclose(phase, [[0.0, np.pi / 2, 0.0]])
+    values = np.array([[1 + 0j, 1j, 0j]] * 3)
+    mag, phase = decompose(Spectrogram(values, cfg, 3, 16000))
+    assert np.allclose(mag, [[1.0, 1.0, 0.0]] * 3)
+    assert np.allclose(phase, [[0.0, np.pi / 2, 0.0]] * 3)
 
 
 def test_decompose_phase_range_and_zero_convention():
@@ -453,6 +457,11 @@ def _synthesis_cases(draw):
 @given(_synthesis_cases())
 def test_synthesize_matches_frame_by_frame_reference(case):
     cfg, values, length = case
+    if length < cfg.window_length // 2 + 1:
+        # a grid that no signal analyzes into
+        with pytest.raises(ValueError, match=f"^origin_length {length} is too short"):
+            _synthesize(values, cfg, length)
+        return
     try:
         expected = _reference_synthesize(values, cfg, length)
     except ValueError as err:

@@ -77,6 +77,19 @@ MUTANTS = [
         "    length = int(origin_length)\n",
     ),
     Mutant(
+        "shortest-signal bound dropped from the grid rule",
+        "spectral",
+        '    _check_analyzable(f"origin_length {length}", length, cfg)\n',
+        "",
+    ),
+    Mutant("shortest-signal bound < -> <=", "spectral", "    if length < shortest:\n", "    if length <= shortest:\n"),
+    Mutant(
+        "shortest-signal bound dropped from the analysis",
+        "spectral",
+        '    _check_analyzable(f"signal of length {n}", n, cfg)\n',
+        "",
+    ),
+    Mutant(
         "grid check moved after irfft",
         "spectral",
         _SYNTHESIS,
@@ -100,6 +113,14 @@ MUTANTS = [
     Mutant("estimate non-negativity test dropped", "spectral", "    if nonnegative and low < 0:\n", "    if False:\n"),
     Mutant("estimate < 0 -> <= 0", "spectral", "    if nonnegative and low < 0:\n", "    if nonnegative and low <= 0:\n"),
     Mutant("estimate shape test dropped", "spectral", "    if arr.shape != shape:\n", "    if False:\n"),
+    Mutant("estimate complex test dropped", "spectral", "    if np.iscomplexobj(value):\n", "    if False:\n"),
+    Mutant(
+        "provider seed not checked",
+        "harness",
+        '            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")\n'
+        '        object.__setattr__(self, "seed", _whole_number("seed", self.seed, positive=False))\n',
+        '            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")\n',
+    ),
     # The two-thread helper (spectral._halves) and the kernels it splits.
     Mutant(
         "halves: no context hand-off",
