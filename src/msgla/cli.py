@@ -24,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audio_io import RunArtifact, _write_csv, _write_json, persist_run, read_wav, write_wav
+from .audio_io import ENCODINGS, RunArtifact, _write_csv, _write_json, persist_run, read_wav, write_wav
 from .geometry import cosine_phase_candidates, nearest_candidate_distance, sine_phase_candidates
 from .harness import (
+    MIXTURE_KINDS,
     EstimateProvider,
     ExperimentSpec,
     MixtureSpec,
@@ -41,7 +42,8 @@ from .harness import (
 )
 from .metrics import phase_error_map
 from .reconstruct import INIT_KINDS, METHOD_NEEDS, METHODS, ReconConfig, enhance
-from .spectral import StftConfig, Waveform, _check_invertible, _usable_cpus, angular_distance, decompose, stft
+from .spectral import DEFAULT_SAMPLE_RATE, StftConfig, Waveform, angular_distance, decompose, stft
+from .spectral import _check_invertible, _usable_cpus
 
 log = logging.getLogger(__name__)
 
@@ -330,15 +332,17 @@ class _HelpFormatter(argparse.HelpFormatter):
 
 
 def _add_stft_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", type=_pos_int, default=512, help="analysis window length in samples")
-    parser.add_argument("--hop", type=_pos_int, default=256, help="hop size in samples")
+    parser.add_argument(
+        "--window", type=_pos_int, default=StftConfig.window_length, help="analysis window length in samples"
+    )
+    parser.add_argument("--hop", type=_pos_int, default=StftConfig.hop_length, help="hop size in samples")
     parser.add_argument("--fft", type=_pos_int, help="FFT length (default: the window length)")
     parser.add_argument("--config", action=_ConfigFile, help="JSON file of flag values (explicit flags win)")
 
 
 def _add_loop_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--iters", type=_nonneg_int, default=5, help="phase update iterations")
-    parser.add_argument("--init", choices=INIT_KINDS, default="noisy", help="initial phase")
+    parser.add_argument("--iters", type=_nonneg_int, default=ReconConfig.iterations, help="phase update iterations")
+    parser.add_argument("--init", choices=INIT_KINDS, default=ReconConfig.init, help="initial phase")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     enh.add_argument("--perturb-seed", type=_nonneg_int, default=0, help="perturbation seed")
     _add_loop_flags(enh)
-    enh.add_argument("--seed", type=_nonneg_int, default=0, help="seed for random initialization")
-    enh.add_argument("--encoding", choices=("float32", "pcm16"), default="float32", help="output encoding")
+    enh.add_argument("--seed", type=_nonneg_int, default=ReconConfig.seed, help="seed for random initialization")
+    enh.add_argument("--encoding", choices=ENCODINGS, default="float32", help="output encoding")
     enh.add_argument("--metrics-out", help="metrics JSON path (default: next to --out)")
     _add_stft_flags(enh)
     enh.set_defaults(func=cmd_enhance)
@@ -381,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seeds", nargs="+", type=_nonneg_int, default=[0, 1, 2, 3, 4], help="mixture seeds")
     exp.add_argument("--noise-std", type=_nonneg_float, default=0.3, help="perturbed-oracle scale")
     exp.add_argument("--provider-seed", type=_nonneg_int, default=0, help="perturbation seed")
-    exp.add_argument("--kind", choices=("harmonic", "speech_shaped"), default="harmonic", help="mixture kind")
-    exp.add_argument("--duration", type=_pos_float, default=0.5, help="mixture duration in seconds")
-    exp.add_argument("--sample-rate", type=_pos_int, default=16000, help="sample rate")
+    exp.add_argument("--kind", choices=MIXTURE_KINDS, default=MixtureSpec.kind, help="mixture kind")
+    exp.add_argument("--duration", type=_pos_float, default=MixtureSpec.duration_s, help="mixture duration in seconds")
+    exp.add_argument("--sample-rate", type=_pos_int, default=DEFAULT_SAMPLE_RATE, help="sample rate")
     _add_loop_flags(exp)
     exp.add_argument(
         "--jobs",

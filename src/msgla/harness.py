@@ -358,56 +358,6 @@ def _scores(enhanced: Waveform, report: ReconReport, clean: Waveform, spectra, n
     }
 
 
-@dataclass
-class _MixtureContext:
-    """One mixture's spectra and baseline scores, computed once and shared by all of its cells.
-
-    ``spectra`` holds the read-only magnitude and phase of the noisy, clean
-    and noise STFTs (``mag_mix``, ``phase_mix``, ``mag_speech``, ...).
-    ``supplied`` caches each provider's estimate of each quantity.
-    """
-
-    spec: MixtureSpec
-    triple: MixtureTriple
-    noisy_spec: Spectrogram
-    spectra: dict[str, np.ndarray]
-    noisy_scores: dict[str, float]
-    supplied: dict[tuple[EstimateProvider, str], np.ndarray] = field(default_factory=dict)
-
-
-def _mixture_context(spec: MixtureSpec, stft_cfg: StftConfig) -> _MixtureContext:
-    triple = synthesize_mixture(spec.kind, spec.snr_db, spec.duration_s, spec.sample_rate, spec.seed)
-    noisy_spec, spectra = _spectra(triple.noisy, triple.clean, triple.noise, stft_cfg)
-    scores = _noisy_scores(triple.noisy, triple.clean, spectra)
-    return _MixtureContext(spec, triple, noisy_spec, spectra, scores)
-
-
-def _run_cell(
-    ctx: _MixtureContext,
-    method: str,
-    pair: tuple[EstimateProvider, EstimateProvider] | None,
-    recon_cfg: ReconConfig,
-) -> dict:
-    if pair is None:
-        speech_label = noise_label = "-"
-        estimates = Estimates()
-    else:
-        speech_label, noise_label = pair[0].label(), pair[1].label()
-        estimates = _estimates(method, ctx.spectra, pair, ctx.spec.seed, ctx.supplied)
-
-    enhanced, report = enhance(ctx.noisy_spec, method, estimates, recon_cfg)
-    return {
-        "row_kind": "cell",
-        "method": method,
-        "speech_provider": speech_label,
-        "noise_provider": noise_label,
-        "mixture_kind": ctx.spec.kind,
-        "mixture_seed": ctx.spec.seed,
-        "snr_db": ctx.spec.snr_db,
-        **_scores(enhanced, report, ctx.triple.clean, ctx.spectra, ctx.noisy_scores),
-    }
-
-
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     """Run every (method x provider pair x mixture) cell and append means.
 
@@ -427,8 +377,33 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     ]
 
     def mixture_rows(mixture: MixtureSpec) -> list[dict]:
-        ctx = _mixture_context(mixture, spec.stft_cfg)
-        return [_run_cell(ctx, method, pair, spec.recon_cfg) for method, pair in cells]
+        triple = synthesize_mixture(**vars(mixture))
+        noisy_spec, spectra = _spectra(triple.noisy, triple.clean, triple.noise, spec.stft_cfg)
+        noisy_scores = _noisy_scores(triple.noisy, triple.clean, spectra)
+        # Each (provider, quantity) estimate of this mixture, shared by its cells.
+        supplied: dict[tuple[EstimateProvider, str], np.ndarray] = {}
+        rows = []
+        for method, pair in cells:
+            if pair is None:
+                speech_label = noise_label = "-"
+                estimates = Estimates()
+            else:
+                speech_label, noise_label = pair[0].label(), pair[1].label()
+                estimates = _estimates(method, spectra, pair, mixture.seed, supplied)
+            enhanced, report = enhance(noisy_spec, method, estimates, spec.recon_cfg)
+            rows.append(
+                {
+                    "row_kind": "cell",
+                    "method": method,
+                    "speech_provider": speech_label,
+                    "noise_provider": noise_label,
+                    "mixture_kind": mixture.kind,
+                    "mixture_seed": mixture.seed,
+                    "snr_db": mixture.snr_db,
+                    **_scores(enhanced, report, triple.clean, spectra, noisy_scores),
+                }
+            )
+        return rows
 
     log.info(
         "running %d experiment cells over %d mixture(s) with %d worker(s)",

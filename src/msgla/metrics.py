@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import StftConfig, Waveform, _elementwise, angular_distance, project_values, recompose
+from .spectral import StftConfig, Waveform, _elementwise, _real, angular_distance, project_values, recompose
 
 __all__ = [
     "SI_SNR_CAP_DB",
@@ -90,9 +90,8 @@ def phase_cos_sim(phase_est, phase_ref) -> float:
 
 
 def _phases(phase_est, phase_ref) -> tuple[np.ndarray, np.ndarray]:
-    """Both phase arrays as float64; ``ValueError`` unless their shapes match."""
-    pe = np.asarray(phase_est, dtype=np.float64)
-    pr = np.asarray(phase_ref, dtype=np.float64)
+    """Both phase arrays as float64; ``ValueError`` unless they are real and their shapes match."""
+    pe, pr = _real("phase_est", phase_est), _real("phase_ref", phase_ref)
     if pe.shape != pr.shape:
         raise ValueError(f"shape mismatch: {pe.shape} vs {pr.shape}")
     return pe, pr

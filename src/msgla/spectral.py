@@ -155,7 +155,7 @@ def wrap_phase(angles) -> np.ndarray:
     a tiny negative ``angles + pi``, which ``np.mod`` rounds up to exactly
     2*pi, maps to -pi rather than +pi.
     """
-    shifted = np.asarray(angles, dtype=np.float64) + np.pi
+    shifted = _real("angles", angles) + np.pi
     if not (shifted.size and shifted.min() >= -_TWO_PI and shifted.max() < 2.0 * _TWO_PI):
         # into [0, 2*pi]: a 2*pi that np.mod rounded up to, _turn takes to -pi
         shifted = np.mod(shifted, _TWO_PI)
@@ -164,7 +164,7 @@ def wrap_phase(angles) -> np.ndarray:
 
 def angular_distance(a, b) -> np.ndarray:
     """Absolute wrapped difference between two angles, in [0, pi]."""
-    return np.abs(wrap_phase(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)))
+    return np.abs(wrap_phase(_real("a", a) - _real("b", b)))
 
 
 def _whole_number(name: str, value, positive: bool) -> int:
@@ -179,15 +179,21 @@ def _whole_number(name: str, value, positive: bool) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array; ``ValueError`` naming ``name`` if it is complex,
+    whose imaginary part a cast would drop with only a warning."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real, got complex values")
+    return np.asarray(value, dtype=np.float64)
+
+
 def _estimate(name: str, value, shape, *, nonnegative: bool = True) -> np.ndarray:
     """``value`` as a float64 array; ``ValueError`` naming ``name`` unless it has
     the mixture's ``shape`` and finite values, non-negative as ``nonnegative`` says.
 
     Every public function checks each estimate it takes here, before any work.
     """
-    if np.iscomplexobj(value):
-        raise ValueError(f"{name} must be real, got complex values")
-    arr = np.asarray(value, dtype=np.float64)
+    arr = _real(name, value)
     if arr.shape != shape:
         raise ValueError(f"{name} shape {arr.shape} does not match the mixture's shape {shape}")
     # The least and greatest values are NaN if any value is, and infinite if any is.
@@ -313,10 +319,11 @@ def frame_count(n_samples: int, cfg: StftConfig) -> int:
 
 
 def canonical_length(n_frames: int, cfg: StftConfig) -> int:
-    """Longest signal length analyzed into exactly ``n_frames`` frames."""
-    if n_frames < 1:
-        raise ValueError("a spectrogram needs at least one frame")
-    return (n_frames - 1) * cfg.hop_length
+    """Longest signal length analyzed into exactly ``n_frames`` frames; ``ValueError``
+    naming ``n_frames`` when no signal that ``cfg`` can analyze has that many."""
+    length = (n_frames - 1) * cfg.hop_length
+    _check_analyzable(f"n_frames {n_frames} ({length} samples)", length, cfg)
+    return length
 
 
 def _check_analyzable(subject: str, length: int, cfg: StftConfig) -> None:
@@ -404,18 +411,12 @@ def _fold(buffer: np.ndarray, cfg: StftConfig, length: int) -> np.ndarray:
 def _check_invertible(cfg: StftConfig) -> None:
     """Raise ``ValueError`` when ``cfg`` cannot invert a long signal.
 
-    Away from the signal's ends the overlap-added window power repeats with
-    the hop: offset ``j`` within a hop sums the squared window at ``j``,
-    ``j + hop``, ``j + 2 * hop``, ... ``_denominator`` checks the ends of
-    each signal as it is synthesized.
+    A signal of two windows already holds every hop offset of the
+    overlap-added window power away from its ends, where the power repeats
+    with the hop. ``_denominator`` checks the ends of each signal as it is
+    synthesized.
     """
-    power = np.bincount(np.arange(cfg.window_length) % cfg.hop_length, weights=cfg.window() ** 2)
-    if power.min() < COLA_FLOOR:
-        raise ValueError(
-            f"overlap-added window power {power.min():.3g} at offset {int(power.argmin())} of the hop "
-            f"is below {COLA_FLOOR}; a Hann window of {cfg.window_length} samples "
-            f"with hop {cfg.hop_length} is not invertible"
-        )
+    _denominator(cfg, frame_count(2 * cfg.window_length, cfg), 2 * cfg.window_length)
 
 
 @lru_cache(maxsize=DENOMINATOR_CACHE_SIZE)
@@ -503,8 +504,7 @@ def _expj(phase: np.ndarray) -> np.ndarray:
 
 def recompose(mag, phase) -> np.ndarray:
     """Complex array ``mag * exp(j * phase)``."""
-    mag = np.asarray(mag, dtype=np.float64)
-    phase = np.asarray(phase, dtype=np.float64)
+    mag, phase = _real("mag", mag), _real("phase", phase)
     if mag.shape != phase.shape:
         raise ValueError(f"magnitude shape {mag.shape} does not match phase shape {phase.shape}")
     return _elementwise(np.multiply, mag, _expj(phase))

@@ -13,6 +13,7 @@ from msgla.spectral import (
     Spectrogram,
     StftConfig,
     Waveform,
+    angular_distance,
     canonical_length,
     decompose,
     istft,
@@ -28,7 +29,7 @@ from msgla.spectral import (
     wrap_phase,
 )
 from msgla.harness import synthesize_mixture
-from msgla.metrics import bin_weights, inconsistency, metric_row, weighted_frobenius
+from msgla.metrics import bin_weights, inconsistency, metric_row, phase_cos_sim, phase_error_map, weighted_frobenius
 
 
 def _naive_dft(frame: np.ndarray, n_fft: int) -> np.ndarray:
@@ -321,6 +322,28 @@ def test_recompose_trivials_and_round_trip():
     assert np.allclose(phase2, wrap_phase(phase), atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "fn, name, position",
+    [
+        pytest.param(fn, name, position, id=f"{fn.__name__}-{name}")
+        for fn, names in (
+            (wrap_phase, ("angles",)),
+            (angular_distance, ("a", "b")),
+            (recompose, ("mag", "phase")),
+            (phase_cos_sim, ("phase_est", "phase_ref")),
+            (phase_error_map, ("phase_est", "phase_ref")),
+        )
+        for position, name in enumerate(names)
+    ],
+)
+def test_complex_input_is_rejected_by_name(fn, name, position):
+    # A float64 cast would keep the real part and only warn.
+    args = [np.ones((2, 3))] * (1 if fn is wrap_phase else 2)
+    args[position] = args[position] * (1 + 1j)
+    with pytest.raises(ValueError, match=f"^{name} must be real"):
+        fn(*args)
+
+
 def test_consistency_project_fixed_point():
     cfg = StftConfig()
     rng = np.random.default_rng(17)
@@ -363,10 +386,12 @@ def test_projection_beats_arbitrary_phase():
 
 def test_canonical_length_round_trip():
     cfg = StftConfig()
-    for frames in (1, 5, 33):
+    for frames in (1, 2):
+        # 0 and 256 samples: every signal that cfg can analyze has 3 frames or more
+        with pytest.raises(ValueError, match=f"^n_frames {frames} \\({(frames - 1) * 256} samples\\) is too short"):
+            canonical_length(frames, cfg)
+    for frames in (3, 5, 33):
         n = canonical_length(frames, cfg)
-        if n == 0:
-            continue
         x = np.random.default_rng(frames).standard_normal(n)
         assert stft(Waveform(x, 16000), cfg).values.shape[0] == frames
 

@@ -113,7 +113,27 @@ MUTANTS = [
     Mutant("estimate non-negativity test dropped", "spectral", "    if nonnegative and low < 0:\n", "    if False:\n"),
     Mutant("estimate < 0 -> <= 0", "spectral", "    if nonnegative and low < 0:\n", "    if nonnegative and low <= 0:\n"),
     Mutant("estimate shape test dropped", "spectral", "    if arr.shape != shape:\n", "    if False:\n"),
-    Mutant("estimate complex test dropped", "spectral", "    if np.iscomplexobj(value):\n", "    if False:\n"),
+    Mutant("complex test dropped from _real", "spectral", "    if np.iscomplexobj(value):\n", "    if False:\n"),
+    # Every function that casts an array argument to float64 holds _real first.
+    *(
+        Mutant(f"_real dropped for {name}", module, f'_real("{name}", {name})', f"np.asarray({name}, dtype=np.float64)")
+        for module, name in (
+            ("spectral", "angles"),
+            ("spectral", "a"),
+            ("spectral", "b"),
+            ("spectral", "mag"),
+            ("spectral", "phase"),
+            ("metrics", "phase_est"),
+            ("metrics", "phase_ref"),
+        )
+    ),
+    Mutant("_real dropped from _estimate", "spectral", "    arr = _real(name, value)\n", "    arr = np.asarray(value, dtype=np.float64)\n"),
+    Mutant(
+        "canonical_length's check dropped",
+        "spectral",
+        '    _check_analyzable(f"n_frames {n_frames} ({length} samples)", length, cfg)\n',
+        "",
+    ),
     Mutant(
         "provider seed not checked",
         "harness",
@@ -164,13 +184,7 @@ MUTANTS = [
     ),
     # Boundaries that tests pin.
     Mutant(
-        "COLA floor < -> <= (long signals)",
-        "spectral",
-        "    if power.min() < COLA_FLOOR:\n",
-        "    if power.min() <= COLA_FLOOR:\n",
-    ),
-    Mutant(
-        "COLA floor < -> <= (signal ends)",
+        "COLA floor < -> <=",
         "spectral",
         "    if np.any(core < COLA_FLOOR):\n",
         "    if np.any(core <= COLA_FLOOR):\n",
@@ -198,6 +212,13 @@ MUTANTS = [
         "metrics",
         "    if p_num == 0.0:\n        return -SI_SNR_CAP_DB\n",
         "    if p_num == 0.0:\n        return SI_SNR_CAP_DB\n",
+    ),
+    Mutant("supplied key without its provider", "harness", "        key = (provider, quantity)\n", "        key = quantity\n"),
+    Mutant(
+        "the cell's mixture seed replaced by 0",
+        "harness",
+        "_estimates(method, spectra, pair, mixture.seed, supplied)",
+        "_estimates(method, spectra, pair, 0, supplied)",
     ),
     Mutant(
         "seed-stream tags of mag_noise and phase_noise swapped",
