@@ -87,7 +87,8 @@ def cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise) -> Cosine
     product = mag_speech * mag_mix
     nondegenerate = product >= DEFAULT_FLOOR
     numerator = mag_mix**2 + mag_speech**2 - mag_noise**2
-    raw = np.where(nondegenerate, numerator / np.where(nondegenerate, 2.0 * product, 1.0), 1.0)
+    # A degenerate bin is divided by 1; the mask and abs_delta drop what it gives.
+    raw = numerator / np.where(nondegenerate, 2.0 * product, 1.0)
     arg = np.clip(raw, -1.0, 1.0)
     abs_delta = np.where(nondegenerate, np.arccos(arg), 0.0)
     validity = nondegenerate & (np.abs(raw) <= 1.0)
@@ -113,7 +114,8 @@ def sine_phase_candidates(mag_mix, phase_mix, mag_speech, phase_noise) -> SineCa
     phase_noise = _estimate("phase_noise", phase_noise, mag_mix.shape, nonnegative=False)
 
     nondegenerate = mag_speech >= DEFAULT_FLOOR
-    ratio = np.where(nondegenerate, mag_mix / np.where(nondegenerate, mag_speech, 1.0), 0.0)
+    # A degenerate bin is divided by 1; the mask and both candidates drop what it gives.
+    ratio = mag_mix / np.where(nondegenerate, mag_speech, 1.0)
     raw = ratio * np.sin(phase_mix - phase_noise)
     arc = np.arcsin(np.clip(raw, -1.0, 1.0))
     held = wrap_phase(phase_mix)

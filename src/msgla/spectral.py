@@ -320,7 +320,9 @@ def frame_count(n_samples: int, cfg: StftConfig) -> int:
 
 def canonical_length(n_frames: int, cfg: StftConfig) -> int:
     """Longest signal length analyzed into exactly ``n_frames`` frames; ``ValueError``
-    naming ``n_frames`` when no signal that ``cfg`` can analyze has that many."""
+    naming ``n_frames`` unless it is a positive whole number and some signal
+    that ``cfg`` can analyze has that many frames."""
+    n_frames = _whole_number("n_frames", n_frames, positive=True)
     length = (n_frames - 1) * cfg.hop_length
     _check_analyzable(f"n_frames {n_frames} ({length} samples)", length, cfg)
     return length

@@ -78,6 +78,26 @@ def test_a_product_at_the_cosine_floor_is_nondegenerate(monkeypatch):
     assert cand.abs_delta[0, 0] == np.arccos(0.5)
 
 
+def test_the_floor_sits_between_half_and_twice_1e_12():
+    # Products of 2e-12 and 0.5e-12 (speech and mixture magnitudes alike) for the
+    # cosine law, speech magnitudes of as much for the sine law.
+    above, below = np.array([[np.sqrt(2e-12)]]), np.array([[np.sqrt(0.5e-12)]])
+    phase = np.array([[0.3]])
+    for mag, valid in ((above, True), (below, False)):
+        assert cosine_phase_candidates(mag, phase, mag, mag).validity_mask[0, 0] == valid
+        assert sine_phase_candidates(mag**2, phase, mag**2, phase).validity_mask[0, 0] == valid
+
+
+def test_a_collinear_triangle_is_valid_for_both_laws():
+    # Unit speech on the mixture with no noise: the cosine argument is exactly 1.
+    one, phase = np.array([[1.0]]), np.array([[0.3]])
+    cand = cosine_phase_candidates(one, phase, one, np.zeros((1, 1)))
+    assert cand.validity_mask[0, 0] and cand.abs_delta[0, 0] == 0.0
+    # Noise a quarter turn from the mixture, speech as long as it: the sine argument is exactly 1.
+    sine = sine_phase_candidates(2 * one, np.array([[np.pi / 2]]), 2 * one, np.zeros((1, 1)))
+    assert sine.validity_mask[0, 0] and sine.primary_candidate[0, 0] == np.pi / 2
+
+
 def test_cosine_candidates_exact_on_random_triples():
     for seed in range(5):
         h_speech, h_noise, h_mix = _exact_triple(seed)

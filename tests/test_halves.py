@@ -373,11 +373,53 @@ def test_a_forked_child_starts_its_own_helper():
 
 
 def test_the_helper_cpu_check_reads_the_affinity_set(monkeypatch):
+    # This process's set (pid 0), not another's; without one, the CPU count, else one CPU.
     monkeypatch.setattr(spectral.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(spectral.os, "sched_getaffinity", lambda pid: {3} if pid == 0 else {1, 2, 3}, raising=False)
     assert spectral._usable_cpus() == 1
     monkeypatch.delattr(spectral.os, "sched_getaffinity", raising=False)
     assert spectral._usable_cpus() == 8
+    monkeypatch.setattr(spectral.os, "cpu_count", lambda: None)
+    assert spectral._usable_cpus() == 1
+
+
+def test_calls_of_at_least_the_gate_and_of_two_rows_split(monkeypatch):
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+    gate = spectral._SPLIT_MIN
+    for rows, size, parts in ((4, gate - 1, [(0, 4)]), (4, gate, [(0, 2), (2, 4)]), (2, gate, [(0, 1), (1, 2)]), (1, gate, [(0, 1)])):
+        ran = []
+        spectral._halves(lambda lo, hi: ran.append((lo, hi)), rows, size)
+        assert sorted(ran) == parts
+
+
+def test_elementwise_splits_arrays_of_at_least_the_gate(monkeypatch):
+    ran, gate = [], spectral._SPLIT_MIN
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(spectral, "_halves", _recording(ran))
+    spectral._elementwise(np.negative, np.ones(gate - 1))
+    assert ran == []
+    out = spectral._elementwise(np.negative, np.ones(gate))
+    assert sorted(lo for lo, _ in ran) == [0, gate // 2] and np.all(out == -1.0)
+
+
+def test_an_error_in_the_callers_half_returns_after_the_helpers_half(monkeypatch):
+    # The caller's half raises while the helper runs the other: the error
+    # reaches the caller only when the helper is done with the call's arrays.
+    monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+    started, done = threading.Event(), []
+
+    def fn(lo, hi):
+        if lo == 0:
+            started.set()
+            threading.Event().wait(0.2)
+            done.append(lo)
+        else:
+            started.wait(timeout=10)
+            raise RuntimeError("the caller's half")
+
+    with pytest.raises(RuntimeError, match="the caller's half"):
+        spectral._halves(fn, 2, spectral._SPLIT_MIN)
+    assert done == [0]
 
 
 def test_callers_sharing_the_helper_neither_queue_nor_deadlock():

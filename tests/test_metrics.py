@@ -88,6 +88,12 @@ def test_phase_cos_sim_trivials():
     assert phase_cos_sim(p + 2 * np.pi, p) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_phase_metrics_reject_shapes_that_only_broadcast():
+    for metric in (phase_cos_sim, phase_error_map):
+        with pytest.raises(ValueError, match=r"^shape mismatch: \(3, 4\) vs \(4,\)"):
+            metric(np.zeros((3, 4)), np.zeros(4))
+
+
 def test_phase_cos_sim_random_is_near_zero():
     rng = np.random.default_rng(5)
     shape = (200, 400)

@@ -64,6 +64,11 @@ def test_recon_config_validation():
     assert ReconConfig(seed=3.0).seed == 3
 
 
+def test_recon_config_defaults():
+    # Five iterations from the mixture phase, traced; a random start draws from seed 0.
+    assert astuple(ReconConfig()) == (5, "noisy", 0, True)
+
+
 def test_gla_fixed_point_at_true_phase():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(4000)
@@ -809,3 +814,44 @@ def test_enhance_waveforms_stay_with_their_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert swapped == []
+
+
+# The methods whose path goes through an angle: the phase of a negated bin is
+# the bin's phase plus pi, wrapped, and its cosine and sine round apart from
+# the negated cosine and sine by an ulp or so. Over 600 draws of this test,
+# passthrough and sign differed from the negated output by up to 1e-15
+# relative (max-abs), and np, whose noise phasor enters every iteration's
+# projection, by up to 8.1e-15; 0.5 s and 2 s mixtures have put np at
+# 7.5e-14. 1e-12 leaves a margin of ten over the largest.
+NEGATION_RTOL = {"passthrough": 1e-12, "sign": 1e-12, "np": 1e-12}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    window=st.sampled_from([16, 32, 64]),
+    hop_share=st.sampled_from([2, 3, 4]),
+    extra_fft=st.sampled_from([0, 1, 16]),
+    samples=st.integers(200, 2000),
+    kind=st.sampled_from(["harmonic", "speech_shaped"]),
+    seed=st.integers(0, 2**16),
+)
+def test_negated_waveforms_negate_every_method_output(window, hop_share, extra_fft, samples, kind, seed):
+    # Negating the noisy, clean and noise waveforms negates every spectrum
+    # exactly, leaves the magnitudes as they are and moves every phase by pi.
+    cfg = StftConfig(window, window // hop_share, window + extra_fft)
+    tri = synthesize_mixture(kind, 0.0, samples / 16000, 16000, seed)
+    outputs = []
+    for sign in (1.0, -1.0):
+        noisy = stft(Waveform(sign * tri.noisy.samples), cfg)
+        mag_speech, phase_speech = decompose(stft(Waveform(sign * tri.clean.samples), cfg))
+        mag_noise, phase_noise = decompose(stft(Waveform(sign * tri.noise.samples), cfg))
+        mag_mix, phase_mix = decompose(noisy)
+        field = oracle_sign(cosine_phase_candidates(mag_mix, phase_mix, mag_speech, mag_noise), phase_speech)
+        est = Estimates(mag_speech=mag_speech, mag_noise=mag_noise, phase_noise=phase_noise, sign=field)
+        outputs.append({m: enhance(noisy, m, est, ReconConfig(trace=False))[0].samples for m in METHODS})
+    for method in METHODS:
+        plain, negated = outputs[0][method], outputs[1][method]
+        if method in NEGATION_RTOL:
+            assert np.max(np.abs(negated + plain)) <= NEGATION_RTOL[method] * np.max(np.abs(plain)), method
+        else:
+            assert np.array_equal(negated, -plain), method

@@ -390,6 +390,10 @@ def test_canonical_length_round_trip():
         # 0 and 256 samples: every signal that cfg can analyze has 3 frames or more
         with pytest.raises(ValueError, match=f"^n_frames {frames} \\({(frames - 1) * 256} samples\\) is too short"):
             canonical_length(frames, cfg)
+    # not a frame count: 3.5 frames once gave a 640-sample length that Spectrogram took for 4 frames
+    for frames in (3.5, float("nan"), "3", 0):
+        with pytest.raises(ValueError, match="^n_frames "):
+            canonical_length(frames, cfg)
     for frames in (3, 5, 33):
         n = canonical_length(frames, cfg)
         x = np.random.default_rng(frames).standard_normal(n)
@@ -529,6 +533,44 @@ def test_cola_floor_boundary_is_inclusive(monkeypatch):
             _denominator(cfg, frame_count(n, cfg), n)
     finally:
         _denominator.cache_clear()
+
+
+def test_the_cola_floor_admits_a_window_power_of_5_5e_12():
+    # With hop one less than a window of 2048 samples, the least overlap-added
+    # power is the square of the window's second sample, 5.5e-12: above the
+    # floor of 1e-12, below ten times it.
+    cfg = StftConfig(2048, 2047)
+    _check_invertible(cfg)
+    n = 3 * cfg.window_length
+    assert 5e-12 < _denominator(cfg, frame_count(n, cfg), n).min() < 1e-11
+
+
+def test_the_invertibility_error_names_the_first_sample_below_the_floor(monkeypatch):
+    # With hop 256 the folded power is 1.0 at sample 0 and first falls below it at sample 101.
+    cfg, n = StftConfig(512, 256), 4096
+    _denominator.cache_clear()
+    try:
+        monkeypatch.setattr(spectral, "COLA_FLOOR", 1.0)
+        with pytest.raises(ValueError, match=r"^overlap-added window power 0\.992 at sample 101 is below 1\.0;"):
+            _denominator(cfg, frame_count(n, cfg), n)
+    finally:
+        _denominator.cache_clear()
+
+
+def test_a_spectrogram_holds_only_finite_values_on_the_grid_of_its_config():
+    cfg = StftConfig()
+    with pytest.raises(ValueError, match=r"^values must be a \(frames, 257\) array for this config, got shape \(4, 256\)"):
+        Spectrogram(np.zeros((4, 256)), cfg, 768)
+    for bad in (np.nan, np.inf):
+        values = np.zeros((4, 257), dtype=complex)
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match="^spectrogram contains non-finite values"):
+            Spectrogram(values, cfg, 768)
+
+
+def test_recompose_rejects_shapes_that_only_broadcast():
+    with pytest.raises(ValueError, match=r"^magnitude shape \(2, 3\) does not match phase shape \(3,\)"):
+        recompose(np.ones((2, 3)), np.zeros(3))
 
 
 def test_cached_window_and_denominator_are_read_only():

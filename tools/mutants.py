@@ -1,35 +1,58 @@
 #!/usr/bin/env python3
-"""Mutation check: the tier-1 tests must fail on every mutant listed here.
+"""Mutation check: the tier-1 tests must fail on every mutant of ``src/msgla``.
 
     python tools/mutants.py [NAME ...]
 
-Each mutant replaces one snippet of one file of ``src/msgla``, which must
-occur there exactly once. For each mutant, the tool copies the working tree
-(without ``.git``) into a temporary directory, applies the mutant to the copy
-and runs pytest there, stopping at the first failure, on the tier-1 test
-files that import the mutated module. It prints ``killed`` when a test fails
-and ``survived`` when every test passes. Before the mutants, the same copy,
-unmutated, must pass all of tier-1. Names select mutants by substring; with
-none, every mutant runs, one after another. The exit status is 1 when a
-mutant survives or its snippet no longer matches the source.
+The mutants are generated from the AST of each module, one per site and
+operator:
 
-A mutant belongs on the list when tier-1 once failed on it; a later edit
-that loses the kill shows up here as a survivor.
+* ``compare``: a single comparison flipped (``<``/``<=``, ``>``/``>=``, ``==``/``!=``);
+* ``constant``: a numeric constant replaced by 0, by 1 and by ten times itself;
+* ``call``: a call statement replaced by ``pass``;
+* ``if-raise``: the test of an ``if`` whose body raises replaced by ``False``;
+* ``unary``: a unary minus dropped;
+* ``binary``: a binary or augmented ``+`` swapped with ``-``.
+
+A mutant rewrites the source span of its node and nothing else. It is named
+by module, enclosing function (or module-level assignment), operator and
+source text, with ``#k`` for the k-th repeat of that text there, never by
+line number: ``spectral._check_analyzable compare: length < shortest ->
+length <= shortest``. ``HAND`` adds the mutants that no operator makes; each
+of their snippets must occur exactly once in its module.
+
+A copy of the working tree (without ``.git``), unmutated, must first pass
+all of tier-1. Then one worker per CPU this process may run on takes a copy
+of its own and runs mutants one at a time: pytest stops at the first failure,
+on the tier-1 files that import the mutated module, its own test file first.
+Every pytest run passes ``--hypothesis-seed=0``, so verdicts repeat. A
+mutant is ``killed`` when a test fails and ``SURVIVED`` when all pass.
+Mutants that ``mutants_equivalent.txt`` beside this file lists, each with
+the reason no input tells it from the code, are not run. A module's name
+selects its mutants, another name the mutants it is part of; with none,
+every mutant runs. The exit status is 1 when a mutant survives or does not
+compile, or when a snippet or an equivalents entry no longer matches a
+mutant.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
+import itertools
 import os
+import queue
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+EQUIVALENTS = Path(__file__).with_name("mutants_equivalent.txt")
 TIMEOUT_S = 600
 
 
@@ -38,252 +61,158 @@ class Mutant(NamedTuple):
     module: str  # the file src/msgla/<module>.py
     old: str
     new: str
+    start: int = -1  # the offset of ``old`` in the module's text; -1: its one occurrence
 
 
-# The head of spectral._synthesize, for a mutant that checks the grid after the inverse FFT.
-_GRID_CHECK = "    values, length = _grid(values, cfg, origin_length)\n"
-_DENOMINATOR = "    core = _denominator(cfg, frames, length)\n"
-_INVERSE_FFT = "    _halves(rows, frames, segments.size)\n"
-_SYNTHESIS = (
-    _GRID_CHECK
-    + "    frames = values.shape[0]\n"
-    + _DENOMINATOR
-    + """    w = cfg.window_length
-    segments = np.empty((frames, cfg.fft_length))
-    window = cfg.window()
+_FLIPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "=="}
+_TOKENS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-"}
+_SWAPS = {ast.Add: "-", ast.Sub: "+"}
 
-    def rows(lo, hi):
-        np.fft.irfft(values[lo:hi], n=cfg.fft_length, axis=1, out=segments[lo:hi])
-        segments[lo:hi, :w] *= window
 
-"""
-    + _INVERSE_FFT
-)
+class _Source:
+    def __init__(self, text: str):
+        self.text = text
+        self.lines = text.splitlines(keepends=True)
+        self.starts = list(itertools.accumulate(map(len, self.lines), initial=0))
 
-MUTANTS = [
-    # The STFT-grid rule (spectral._grid) and where it is held.
-    Mutant(
-        "grid rule dropped from _synthesize",
-        "spectral",
-        "    values, length = _grid(values, cfg, origin_length)\n",
-        "    values, length = np.asarray(values, dtype=np.complex128), int(origin_length)\n",
-    ),
-    Mutant("grid frame count != -> <", "spectral", "    if frames != values.shape[0]:\n", "    if frames < values.shape[0]:\n"),
-    Mutant("grid frame-count test dropped", "spectral", "    if frames != values.shape[0]:\n", "    if False:\n"),
-    Mutant(
-        "grid whole-number test dropped",
-        "spectral",
-        '    length = _whole_number("origin_length", origin_length, positive=False)\n',
-        "    length = int(origin_length)\n",
-    ),
-    Mutant(
-        "shortest-signal bound dropped from the grid rule",
-        "spectral",
-        '    _check_analyzable(f"origin_length {length}", length, cfg)\n',
-        "",
-    ),
-    Mutant("shortest-signal bound < -> <=", "spectral", "    if length < shortest:\n", "    if length <= shortest:\n"),
-    Mutant(
-        "shortest-signal bound dropped from the analysis",
-        "spectral",
-        '    _check_analyzable(f"signal of length {n}", n, cfg)\n',
-        "",
-    ),
-    Mutant(
-        "grid check moved after irfft",
-        "spectral",
-        _SYNTHESIS,
-        _SYNTHESIS.replace(_GRID_CHECK, "    values = np.asarray(values, dtype=np.complex128)\n")
-        .replace(_DENOMINATOR, "")
-        .replace(_INVERSE_FFT, _INVERSE_FFT + _GRID_CHECK + _DENOMINATOR),
-    ),
-    Mutant(
-        "Spectrogram skips the grid rule",
-        "spectral",
-        "        self.values, self.origin_length = _grid(self.values, self.config, self.origin_length)\n",
-        "        self.values = np.asarray(self.values, dtype=np.complex128)\n",
-    ),
-    # The one estimate check (spectral._estimate).
-    Mutant(
-        "estimate finiteness test dropped",
-        "spectral",
-        "    if not (np.isfinite(low) and np.isfinite(high)):\n",
-        "    if False:\n",
-    ),
-    Mutant("estimate non-negativity test dropped", "spectral", "    if nonnegative and low < 0:\n", "    if False:\n"),
-    Mutant("estimate < 0 -> <= 0", "spectral", "    if nonnegative and low < 0:\n", "    if nonnegative and low <= 0:\n"),
-    Mutant("estimate shape test dropped", "spectral", "    if arr.shape != shape:\n", "    if False:\n"),
-    Mutant("complex test dropped from _real", "spectral", "    if np.iscomplexobj(value):\n", "    if False:\n"),
+    def at(self, line: int, col: int) -> int:
+        # ast counts columns in UTF-8 bytes
+        return self.starts[line - 1] + len(self.lines[line - 1].encode()[:col].decode())
+
+    def span(self, node: ast.AST) -> tuple[int, int]:
+        return self.at(node.lineno, node.col_offset), self.at(node.end_lineno, node.end_col_offset)
+
+    def token(self, left: ast.AST, right: ast.AST, token: str) -> int:
+        """The offset of the operator ``token`` between ``left`` and ``right``."""
+        lo, hi = self.span(left)[1], self.span(right)[0]
+        return lo + re.sub(r"#.*", lambda m: " " * len(m.group()), self.text[lo:hi]).index(token)
+
+
+def _edits(src: _Source, node: ast.AST):
+    """``(operator, start, old, new)`` for each mutant of ``node``: ``old`` at ``start`` becomes ``new``."""
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _FLIPS:
+        op = type(node.ops[0])
+        yield "compare", src.token(node.left, node.comparators[0], _TOKENS[op]), _TOKENS[op], _FLIPS[op]
+    elif isinstance(node, ast.BinOp) and type(node.op) in _SWAPS:
+        yield "binary", src.token(node.left, node.right, _TOKENS[type(node.op)]), _TOKENS[type(node.op)], _SWAPS[type(node.op)]
+    elif isinstance(node, ast.AugAssign) and type(node.op) in _SWAPS:
+        token = _TOKENS[type(node.op)] + "="
+        yield "binary", src.token(node.target, node.value, token), token, _SWAPS[type(node.op)] + "="
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        yield "unary", src.span(node)[0], "-", ""
+    elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        start, end = src.span(node)
+        value = node.value
+        for new in dict.fromkeys((type(value)(0), type(value)(1), 10 * value)):
+            if new != value:
+                yield "constant", start, src.text[start:end], repr(new)
+    elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+        start, end = src.span(node)
+        yield "call", start, src.text[start:end], "pass"
+    elif isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
+        start, end = src.span(node.test)
+        yield "if-raise", start, src.text[start:end], "False"
+
+
+def generate(module: str, text: str) -> list[Mutant]:
+    """Every operator's mutants of the module ``module`` whose source is ``text``, in source order."""
+    src, seen, found = _Source(text), collections.Counter(), []
+
+    def walk(node: ast.AST, scope: str, context: ast.AST | None) -> None:
+        # ``context``: the innermost expression around ``node`` that is more than a constant or
+        # a negation, which a constant or unary mutant shows; an if-raise mutant shows its test.
+        for child in ast.iter_child_nodes(node):
+            inner, around = scope, None if isinstance(child, ast.stmt) else context
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(node, (ast.Module, ast.ClassDef)) and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                target = child.targets[0] if isinstance(child, ast.Assign) else child.target
+                inner = f"{scope}.{target.id}" if isinstance(target, ast.Name) else scope
+            if isinstance(child, ast.expr) and not isinstance(child, (ast.Constant, ast.UnaryOp)):
+                around = child
+            shown = child.test if isinstance(child, ast.If) else around or child
+            lo, hi = src.span(shown) if hasattr(shown, "end_col_offset") else (0, 0)
+            for op, start, old, new in _edits(src, child):
+                before, after = text[lo:hi], text[lo:start] + new + text[start + len(old) : hi]
+                name = f"{inner} {op}: {' '.join(before.split())} -> {' '.join(after.split())}"
+                seen[name] += 1
+                found.append(Mutant(name + (f" #{seen[name]}" if seen[name] > 1 else ""), module, old, new, start))
+            walk(child, inner, around)
+
+    walk(ast.parse(text), module, None)
+    return found
+
+
+# (module, description, snippet, replacement): faults that no operator makes.
+_GRID = "    values, length = _grid(values, cfg, origin_length)\n"
+_CANCEL = "        if top.cancel():\n            fn(0, half)\n        else:\n            top.result()\n"
+_POLAR = "    return _elementwise(np.abs, values, dtype=np.float64), wrap_phase(_angle(values))\n"
+_PRODUCT = "    return _elementwise(np.multiply, mag, _expj(phase))\n"
+_UPDATE = "        if n < cfg.iterations:\n            z = update(z, projected)\n"
+_TAGS = '_QUANTITY_TAGS = {"mag_speech": 0, "mag_noise": 1, "phase_noise": 2}\n'
+_HAND = [
+    ("spectral", "grid rule dropped from _synthesize", _GRID, "    values, length = np.asarray(values, dtype=np.complex128), int(origin_length)\n"),
+    ("spectral", "an inverse FFT before the grid rule", _GRID, "    np.fft.irfft(np.asarray(values, dtype=np.complex128), n=cfg.fft_length, axis=1)\n" + _GRID),
+    ("spectral", "grid frame count != -> <", "    if frames != values.shape[0]:\n", "    if frames < values.shape[0]:\n"),
+    ("spectral", "grid whole-number test dropped", '_whole_number("origin_length", origin_length, positive=False)', "int(origin_length)"),
+    ("spectral", "Spectrogram skips the grid rule", "_grid(self.values, self.config, self.origin_length)",
+     "np.asarray(self.values, dtype=np.complex128), self.origin_length"),
     # Every function that casts an array argument to float64 holds _real first.
-    *(
-        Mutant(f"_real dropped for {name}", module, f'_real("{name}", {name})', f"np.asarray({name}, dtype=np.float64)")
-        for module, name in (
-            ("spectral", "angles"),
-            ("spectral", "a"),
-            ("spectral", "b"),
-            ("spectral", "mag"),
-            ("spectral", "phase"),
-            ("metrics", "phase_est"),
-            ("metrics", "phase_ref"),
-        )
-    ),
-    Mutant("_real dropped from _estimate", "spectral", "    arr = _real(name, value)\n", "    arr = np.asarray(value, dtype=np.float64)\n"),
-    Mutant(
-        "canonical_length's check dropped",
-        "spectral",
-        '    _check_analyzable(f"n_frames {n_frames} ({length} samples)", length, cfg)\n',
-        "",
-    ),
-    Mutant(
-        "provider seed not checked",
-        "harness",
-        '            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")\n'
-        '        object.__setattr__(self, "seed", _whole_number("seed", self.seed, positive=False))\n',
-        '            raise ValueError(f"noise_std must be finite and non-negative, got {self.noise_std!r}")\n',
-    ),
-    # The two-thread helper (spectral._halves) and the kernels it splits.
-    Mutant(
-        "halves: no context hand-off",
-        "spectral",
-        "_helper.submit(contextvars.copy_context().run, lambda: held[0](0, half))",
-        "_helper.submit(lambda: held[0](0, half))",
-    ),
-    Mutant("halves: work-item list not emptied", "spectral", "        held.clear()\n", "        pass\n"),
-    Mutant(
-        "halves: no fork handler",
-        "spectral",
-        "    os.register_at_fork(after_in_child=_start_helper)\n",
-        "    pass\n",
-    ),
-    Mutant("halves that overlap", "spectral", "        fn(half, rows)\n", "        fn(half - 1, rows)\n"),
-    Mutant(
-        "halves: CPU check dropped",
-        "spectral",
-        "    if size < _SPLIT_MIN or rows < 2 or _usable_cpus() < 2:\n",
-        "    if size < _SPLIT_MIN or rows < 2:\n",
-    ),
-    Mutant(
-        "halves: Future.cancel() never tried",
-        "spectral",
-        "        if top.cancel():\n            fn(0, half)\n        else:\n            top.result()\n",
-        "        top.result()\n",
-    ),
-    Mutant("halves: the helper's error dropped", "spectral", "            top.result()\n", "            top.exception()\n"),
-    Mutant(
-        "halves: a traced layer (wrap_phase) run on the helper",
-        "spectral",
-        "    return _elementwise(np.abs, values, dtype=np.float64), wrap_phase(_angle(values))\n",
-        "    return _elementwise(np.abs, values, dtype=np.float64), _elementwise(\n"
-        "        lambda a, out: np.copyto(out, wrap_phase(a)), _angle(values)\n    )\n",
-    ),
-    Mutant(
-        "an in-place complex product in recompose",
-        "spectral",
-        "    return _elementwise(np.multiply, mag, _expj(phase))\n",
-        "    return _elementwise(lambda m, c, out: np.copyto(out, np.multiply(m, c, out=c)), mag, _expj(phase))\n",
-    ),
-    # Boundaries that tests pin.
-    Mutant(
-        "COLA floor < -> <=",
-        "spectral",
-        "    if np.any(core < COLA_FLOOR):\n",
-        "    if np.any(core <= COLA_FLOOR):\n",
-    ),
-    Mutant(
-        "cosine floor >= -> >",
-        "geometry",
-        "    nondegenerate = product >= DEFAULT_FLOOR\n",
-        "    nondegenerate = product > DEFAULT_FLOOR\n",
-    ),
-    Mutant(
-        "sine floor >= -> >",
-        "geometry",
-        "    nondegenerate = mag_speech >= DEFAULT_FLOOR\n",
-        "    nondegenerate = mag_speech > DEFAULT_FLOOR\n",
-    ),
-    Mutant(
-        "oracle_sign ties to -1",
-        "geometry",
-        "    return np.where(d_minus < d_plus, -1.0, 1.0)\n",
-        "    return np.where(d_minus <= d_plus, -1.0, 1.0)\n",
-    ),
-    Mutant(
-        "_ratio_db gives +60 dB for silence",
-        "metrics",
-        "    if p_num == 0.0:\n        return -SI_SNR_CAP_DB\n",
-        "    if p_num == 0.0:\n        return SI_SNR_CAP_DB\n",
-    ),
-    Mutant("supplied key without its provider", "harness", "        key = (provider, quantity)\n", "        key = quantity\n"),
-    Mutant(
-        "the cell's mixture seed replaced by 0",
-        "harness",
-        "_estimates(method, spectra, pair, mixture.seed, supplied)",
-        "_estimates(method, spectra, pair, 0, supplied)",
-    ),
-    Mutant(
-        "seed-stream tags of mag_noise and phase_noise swapped",
-        "harness",
-        '_QUANTITY_TAGS = {"mag_speech": 0, "mag_noise": 1, "phase_noise": 2}\n',
-        '_QUANTITY_TAGS = {"mag_speech": 0, "mag_noise": 2, "phase_noise": 1}\n',
-    ),
-    Mutant(
-        "audit separation 1e-3 -> 1e-2",
-        "cli",
-        "    separated = angular_distance(cand_a, cand_b) > 1e-3\n",
-        "    separated = angular_distance(cand_a, cand_b) > 1e-2\n",
-    ),
-    Mutant(
-        "audit separation 1e-3 -> 1e-4",
-        "cli",
-        "    separated = angular_distance(cand_a, cand_b) > 1e-3\n",
-        "    separated = angular_distance(cand_a, cand_b) > 1e-4\n",
-    ),
-    Mutant(
-        "audit speech energy 1e-2 -> 1e-1",
-        "cli",
-        "(mag_speech > 1e-2 * mag_speech.max())",
-        "(mag_speech > 1e-1 * mag_speech.max())",
-    ),
-    Mutant("audit mixture energy 1e-2 -> 1e-3", "cli", "(mag_mix > 1e-2 * mag_mix.max())", "(mag_mix > 1e-3 * mag_mix.max())"),
-    Mutant(
-        "analyze median > -> >=",
-        "cli",
-        "    high = mag_speech > np.median(mag_speech)\n",
-        "    high = mag_speech >= np.median(mag_speech)\n",
-    ),
-    # Loop and WAV mutants that the benchmark's reference check or earlier tests named.
-    Mutant(
-        "one loop update dropped",
-        "reconstruct",
-        "        if n < cfg.iterations:\n            z = update(z, projected)\n",
-        "        if n < cfg.iterations - 1:\n            z = update(z, projected)\n",
-    ),
-    Mutant(
-        "final phase shifted by 8.6e-7 rad",
-        "reconstruct",
-        "    return ReconReport(angles(z), final, signal, stats)\n",
-        "    return ReconReport(angles(z) + 8.6e-7, final, signal, stats)\n",
-    ),
-    Mutant("WAV pad byte not skipped", "audio_io", "        pos += 8 + size + (size & 1)\n", "        pos += 8 + size\n"),
-    Mutant(
-        "WAV extensible sub-format ignored",
-        "audio_io",
-        "    if tag == WAVE_FORMAT_EXTENSIBLE and size >= 40:\n",
-        "    if False:\n",
-    ),
-    Mutant("WAV RF64 check dropped", "audio_io", '    if raw[:4] == b"RF64":\n', "    if False:\n"),
-    Mutant("WAV whole-sample check dropped", "audio_io", "    if size % block_align:\n", "    if False:\n"),
+    *((module, f"_real dropped for {name}", f'_real("{name}", {name})', f"np.asarray({name}, dtype=np.float64)") for module, name in (
+        ("spectral", "angles"), ("spectral", "a"), ("spectral", "b"), ("spectral", "mag"), ("spectral", "phase"),
+        ("metrics", "phase_est"), ("metrics", "phase_ref"))),
+    ("spectral", "_real dropped from _estimate", "    arr = _real(name, value)\n", "    arr = np.asarray(value, dtype=np.float64)\n"),
+    ("spectral", "halves: no context hand-off", "submit(contextvars.copy_context().run, lambda:", "submit(lambda:"),
+    ("spectral", "halves that overlap", "        fn(half, rows)\n", "        fn(half - 1, rows)\n"),
+    ("spectral", "halves: Future.cancel() never tried", _CANCEL, "        top.result()\n"),
+    ("spectral", "halves: a traced layer (wrap_phase) run on the helper", _POLAR, _POLAR.replace(
+        "wrap_phase(_angle(values))", "_elementwise(lambda a, out: np.copyto(out, wrap_phase(a)), _angle(values))")),
+    ("spectral", "an in-place complex product in recompose", _PRODUCT, _PRODUCT.replace(
+        "np.multiply,", "lambda m, c, out: np.copyto(out, np.multiply(m, c, out=c)),")),
+    ("reconstruct", "one loop update dropped", _UPDATE, _UPDATE.replace("cfg.iterations:", "cfg.iterations - 1:")),
+    ("reconstruct", "final phase shifted by 8.6e-7 rad", "ReconReport(angles(z), final", "ReconReport(angles(z) + 8.6e-7, final"),
+    ("harness", "supplied key without its provider", "        key = (provider, quantity)\n", "        key = quantity\n"),
+    ("harness", "the cell's mixture seed replaced by 0", "spectra, pair, mixture.seed, supplied)", "spectra, pair, 0, supplied)"),
+    ("harness", "seed-stream tags of mag_noise and phase_noise swapped", _TAGS, _TAGS.replace("1, ", "2, ").replace(": 2}", ": 1}")),
+    ("cli", "audit separation 1e-3 -> 1e-4", "angular_distance(cand_a, cand_b) > 1e-3", "angular_distance(cand_a, cand_b) > 1e-4"),
+    ("cli", "audit mixture energy 1e-2 -> 1e-3", "(mag_mix > 1e-2 * mag_mix.max())", "(mag_mix > 1e-3 * mag_mix.max())"),
 ]
+HAND = [Mutant(f"{module} hand: {description}", module, old, new) for module, description, old, new in _HAND]
+
+
+def mutants(package: Path = ROOT / "src" / "msgla") -> list[Mutant]:
+    """The generated mutants of every module of ``package``, then ``HAND``."""
+    return [m for path in sorted(package.glob("*.py")) for m in generate(path.stem, path.read_text())] + HAND
+
+
+def equivalents(path: Path = EQUIVALENTS) -> dict[str, str]:
+    """Mutant name -> reason: a line that starts a name, then the reason's indented lines."""
+    entries: dict[str, str] = {}
+    for line in path.read_text().splitlines():
+        if line[:1].isspace() and line.strip():
+            entries[name] = f"{entries[name]} {line.strip()}".strip()
+        elif line.strip() and not line.startswith("#"):
+            name = line.strip()
+            entries[name] = ""
+    return entries
+
+
+def apply(text: str, mutant: Mutant) -> str | None:
+    """``text`` with ``mutant`` applied; ``None`` unless its snippet is where it should be."""
+    start = mutant.start if mutant.start >= 0 else (text.find(mutant.old) if text.count(mutant.old) == 1 else -1)
+    if start < 0 or text[start : start + len(mutant.old)] != mutant.old:
+        return None
+    return text[:start] + mutant.new + text[start + len(mutant.old) :]
 
 
 def _importers(tests: Path, module: str) -> list[str]:
-    """The tier-1 test files that import ``msgla.<module>``, also as ``from msgla import <module>``."""
+    """The tier-1 test files that import ``msgla.<module>``, also as ``from msgla import <module>``,
+    ``test_<module>.py`` first."""
     found = []
-    for path in sorted(tests.glob("test_*.py")):
+    for path in sorted(tests.glob("test_*.py"), key=lambda p: p.name != f"test_{module}.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and node.module in (f"msgla.{module}", "msgla"):
-                names = {alias.name for alias in node.names}
-                hit = node.module != "msgla" or module in names
+                hit = node.module != "msgla" or module in {alias.name for alias in node.names}
             elif isinstance(node, ast.Import):
                 hit = any(alias.name == f"msgla.{module}" for alias in node.names)
             else:
@@ -296,46 +225,75 @@ def _importers(tests: Path, module: str) -> list[str]:
 
 def _pytest(tree: Path, files: list[str], stop_first: bool) -> tuple[int, float]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *(["-x"] if stop_first else []), *files]
+    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
     start = time.perf_counter()
     try:
-        code = subprocess.run(args, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
+        code = subprocess.run(args + ["-x"] * stop_first + files, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
     except subprocess.TimeoutExpired:
         code = -1
     return code, time.perf_counter() - start
 
 
+def _run(tree: Path, mutant: Mutant) -> tuple[str, str]:
+    source = tree / "src" / "msgla" / f"{mutant.module}.py"
+    text = source.read_text()
+    mutated = apply(text, mutant)
+    if mutated is None:
+        return "STALE", f"its snippet does not occur once in {mutant.module}.py"
+    try:
+        compile(mutated, str(source), "exec")
+    except SyntaxError as error:
+        return "INVALID", str(error)
+    source.write_text(mutated)
+    try:
+        files = _importers(tree / "tests", mutant.module)
+        code, seconds = _pytest(tree, files, stop_first=True)
+    finally:
+        source.write_text(text)
+    verdict = {0: "SURVIVED", 1: "killed", -1: "killed (timeout)"}.get(code, f"ERROR (pytest exit {code})")
+    return verdict, f"{len(files)} files, {seconds:.0f} s"
+
+
 def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or any(word in m.name for word in argv)]
+    every, listed = mutants(), equivalents()
+    bad = len(missing := sorted(set(listed) - {m.name for m in every}))
+    for name in missing:
+        print(f"STALE     equivalents entry {name!r} names no mutant")
+    modules = {m.module for m in every}
+    chosen = [m for m in every if not argv or any(m.module == w if w in modules else w in m.name for w in argv)]
     if not chosen:
         print(f"no mutant matches {argv}", file=sys.stderr)
         return 2
-    bad = 0
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, len(chosen))
+    counts: dict[str, collections.Counter] = collections.defaultdict(collections.Counter)
     with tempfile.TemporaryDirectory(prefix="msgla-mutants-") as scratch:
-        tree = Path(scratch) / "tree"
-        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", ".hypothesis", "__pycache__"))
-        code, seconds = _pytest(tree, ["tests"], stop_first=False)
+        trees: queue.SimpleQueue[Path] = queue.SimpleQueue()
+        for k in range(workers):
+            shutil.copytree(ROOT, tree := Path(scratch) / f"tree{k}", ignore=shutil.ignore_patterns(".git", ".hypothesis", "__pycache__"))
+            trees.put(tree)
+        code, seconds = _pytest(Path(scratch) / "tree0", ["tests"], stop_first=False)
         if code != 0:
             print(f"the unmutated copy fails tier-1 (pytest exit {code}); no mutant was run", file=sys.stderr)
             return 1
-        print(f"control: tier-1 passes unmutated ({seconds:.0f} s)")
-        for mutant in chosen:
-            source = tree / "src" / "msgla" / f"{mutant.module}.py"
-            text = source.read_text()
-            if text.count(mutant.old) != 1:
-                print(f"STALE     {mutant.name}: its snippet occurs {text.count(mutant.old)} times in {mutant.module}.py")
-                bad += 1
-                continue
-            source.write_text(text.replace(mutant.old, mutant.new))
+        print(f"control: tier-1 passes unmutated ({seconds:.0f} s); {workers} workers", flush=True)
+
+        def job(mutant: Mutant) -> tuple[str, str]:
+            if mutant.name in listed:
+                return "equivalent", "listed"
+            tree = trees.get()
             try:
-                files = _importers(tree / "tests", mutant.module)
-                code, seconds = _pytest(tree, files, stop_first=True)
+                return _run(tree, mutant)
             finally:
-                source.write_text(text)
-            verdict = {0: "SURVIVED", 1: "killed", -1: "killed (timeout)"}.get(code, f"ERROR (pytest exit {code})")
-            bad += verdict not in ("killed", "killed (timeout)")
-            print(f"{verdict:<9} {mutant.name} ({len(files)} files, {seconds:.0f} s)", flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+                trees.put(tree)
+
+        with ThreadPoolExecutor(workers) as pool:
+            for mutant, (verdict, note) in zip(chosen, pool.map(job, chosen)):
+                counts[mutant.module][verdict.split()[0]] += 1
+                bad += verdict not in ("killed", "killed (timeout)", "equivalent")
+                print(f"{verdict:<9} {mutant.name} ({note})", flush=True)
+    for module, count in counts.items():
+        print(f"{module}: {sum(count.values())} mutants, " + ", ".join(f"{n} {v}" for v, n in sorted(count.items())))
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed or equivalent")
     return 1 if bad else 0
 
 
