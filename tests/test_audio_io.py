@@ -75,7 +75,7 @@ def test_write_deterministic_bytes(tmp_path):
 
 
 def test_read_errors(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="^no such WAV file: .*absent.wav$"):
         read_wav(tmp_path / "absent.wav")
     from scipy.io import wavfile
 
@@ -126,6 +126,9 @@ def test_persist_run_deterministic(tmp_path):
     csv_text = (tmp_path / "one" / "results.csv").read_text()
     assert csv_text.startswith("row_kind,method,si_snr_db,fingerprint")
     assert "12.3456789" in csv_text
+    for name in ("results.json", "manifest.json"):
+        text = (tmp_path / "one" / name).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def test_persist_run_fingerprint_tracks_seeds(tmp_path):
@@ -139,6 +142,8 @@ def test_persist_run_empty_table(tmp_path):
     persist_run(artifact, tmp_path / "empty")
     lines = (tmp_path / "empty" / "results.csv").read_text().strip().splitlines()
     assert lines == ["row_kind,method"]
+    persist_run(RunArtifact(["method"], [{"method": "nm"}, {"method": "np"}]), tmp_path / "one")
+    assert (tmp_path / "one" / "results.csv").read_bytes() == b"method\r\nnm\r\nnp\r\n"
 
 
 def test_persist_run_stamps_fingerprint_into_rows(tmp_path):
@@ -334,10 +339,16 @@ def test_reads_hand_built_headers_like_scipy(tmp_path, raw, want):
     [
         (b"hello, this is not a WAV file", "not a RIFF/WAVE file"),
         (b"RIFF\x04\x00\x00\x00AVI ", "not a RIFF/WAVE file"),
+        (b"RIFF\x04\x00\x00\x00WAVE", "missing fmt chunk"),
         (b"RF64\xff\xff\xff\xffWAVEds64" + bytes(28), "RF64"),
         (_riff(_chunk(b"data", _PCM.tobytes())), "missing fmt chunk"),
         (_riff(_chunk(b"fmt ", _fmt(1, 16))), "missing data chunk"),
-        (_riff(_chunk(b"fmt ", _fmt(1, 16)), _chunk(b"data", _PCM.tobytes(), declared=100)), "declares 100 bytes"),
+        (_riff(_chunk(b"fmt ", _fmt(1, 16)), b"dat"), "missing data chunk"),
+        (_riff(_chunk(b"fmt ", _fmt(1, 16)[:14]), _chunk(b"data", bytes(4))), "fmt chunk is truncated"),
+        (
+            _riff(_chunk(b"fmt ", _fmt(1, 16)), _chunk(b"data", _PCM.tobytes(), declared=100)),
+            "declares 100 bytes but holds 12$",
+        ),
         (_riff(_chunk(b"fmt ", _fmt(1, 16)), _chunk(b"data", b"\x01\x02\x03")), "whole number"),
         (_riff(_chunk(b"fmt ", _fmt(1, 16, channels=3)), _chunk(b"data", bytes(12))), "got 3 channels"),
         (_riff(_chunk(b"fmt ", _fmt(1, 8)), _chunk(b"data", bytes(4))), "unsupported encoding 8-bit PCM"),
@@ -349,6 +360,11 @@ def test_reads_hand_built_headers_like_scipy(tmp_path, raw, want):
         (_riff(_chunk(b"fmt ", _fmt(1, 32)), _chunk(b"data", bytes(8))), "unsupported encoding 32-bit PCM"),
         (_riff(_chunk(b"fmt ", _fmt(3, 64)), _chunk(b"data", bytes(16))), "unsupported encoding 64-bit float"),
         (_riff(_chunk(b"fmt ", _extensible(1, 24)), _chunk(b"data", bytes(6))), "unsupported encoding 24-bit PCM"),
+        # An extensible header too short to hold its sub-format keeps its own tag.
+        (
+            _riff(_chunk(b"fmt ", _fmt(0xFFFE, 16) + b"\x00\x00"), _chunk(b"data", bytes(4))),
+            "unsupported encoding 16-bit format 0xfffe",
+        ),
     ],
     ids=lambda value: value if isinstance(value, str) else "wav",
 )

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -119,11 +120,12 @@ def test_enhance_missing_estimate_exits_two(mixture_files, capsys):
     assert "--oracle-noise" in capsys.readouterr().err
 
 
-def test_enhance_missing_file_exits_one(tmp_path):
+def test_enhance_missing_file_exits_one(tmp_path, capsys):
     code = main(
         ["enhance", str(tmp_path / "absent.wav"), "--method", "passthrough", "--out", str(tmp_path / "o.wav")]
     )
     assert code == 1
+    assert capsys.readouterr().err == f"error: no such WAV file: {tmp_path / 'absent.wav'}\n"
 
 
 def test_enhance_length_mismatch_exits_two(mixture_files, capsys):
@@ -469,10 +471,9 @@ def test_config_file_merging(mixture_files, tmp_path):
     )
 
 
-def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "msgla", "--version"], capture_output=True, text=True
-    )
+@pytest.mark.parametrize("module", ["msgla", "msgla.cli"])
+def test_console_entry_point_runs(module):
+    proc = subprocess.run([sys.executable, "-m", module, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "msgla" in proc.stdout
 
@@ -731,7 +732,7 @@ def _refuse_io(*args, **kwargs):
         ("oracle-exp", {"init": "bogus"}, [], "--init"),
         ("oracle-exp", {"kind": "wav_pair"}, [], "--kind"),
         ("oracle-exp", {"methods": ["nm", "bogus"]}, [], "--methods"),
-        ("oracle-exp", [1, 2], [], "--config"),
+        ("oracle-exp", [1, 2], [], "must hold a JSON object, got list"),
         ("oracle-exp", {"out_dir": "elsewhere"}, [], "out_dir"),
         ("enhance", {"encoding": "pcm24"}, [], "--encoding"),
         ("enhance", {"scale_by_energy": True}, [], "scale_by_energy"),
@@ -740,7 +741,7 @@ def _refuse_io(*args, **kwargs):
         ("oracle-exp", None, ["--window", "0"], "--window"),
         ("oracle-exp", None, ["--hop", "1024"], "--hop"),
         ("oracle-exp", None, ["--fft", "100"], "--fft"),
-        ("oracle-exp", None, ["--duration", "0"], "--duration"),
+        ("oracle-exp", None, ["--duration", "0"], "argument --duration: must be finite and positive"),
         ("oracle-exp", None, ["--sample-rate", "0"], "--sample-rate"),
         ("oracle-exp", None, ["--seeds", "0", "-1"], "--seeds"),
         ("oracle-exp", None, ["--provider-seed", "-1"], "--provider-seed"),
@@ -840,3 +841,149 @@ def test_jobs_defaults_to_the_cpus_this_process_may_use(monkeypatch):
     # Where the OS reports no affinity set, the logical core count stands.
     monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
     assert cli.build_parser().parse_args(argv).jobs == 8
+
+
+PARSER_DEFAULTS = {
+    "enhance": {
+        "noisy": "noisy.wav",
+        "out": "out.wav",
+        "method": "nm",
+        "oracle_clean": None,
+        "oracle_noise": None,
+        "perturb_std": 0.0,
+        "perturb_seed": 0,
+        "iters": 5,
+        "init": "noisy",
+        "seed": 0,
+        "encoding": "float32",
+        "metrics_out": None,
+    },
+    "oracle-exp": {
+        "out_dir": "results",
+        "methods": ["nm", "np"],
+        "snr_grid": [-6.0, 0.0, 6.0],
+        "seeds": [0, 1, 2, 3, 4],
+        "noise_std": 0.3,
+        "provider_seed": 0,
+        "kind": "harmonic",
+        "duration": 0.5,
+        "sample_rate": 16000,
+        "iters": 5,
+        "init": "noisy",
+    },
+    "candidates": {"noisy": "noisy.wav", "clean": "clean.wav", "noise": "noise.wav", "law": "cos", "out": "cand.csv"},
+    "analyze": {
+        "clean": "clean.wav",
+        "noise": "noise.wav",
+        "out_dir": "maps",
+        "noise_std": 0.3,
+        "seed": 0,
+        "scale_by_energy": False,
+        "snr_db": None,
+    },
+}
+
+
+@pytest.mark.parametrize("argv", MINIMAL_ARGVS)
+def test_parser_defaults(argv):
+    parsed = vars(cli.build_parser().parse_args(argv))
+    want = {"command": argv[0], **PARSER_DEFAULTS[argv[0]], "window": 512, "hop": 256, "fft": None, "config": None}
+    if argv[0] == "oracle-exp":
+        want["jobs"] = cli._usable_cpus()
+    assert {k: v for k, v in parsed.items() if k != "func"} == want
+
+
+def test_each_command_prints_what_it_wrote_and_makes_its_folders(mixture_files, capsys):
+    tmp_path, paths, _ = mixture_files
+    out, metrics = tmp_path / "a" / "out.wav", tmp_path / "b" / "c" / "m.json"
+    argv = ["enhance", str(paths["noisy"]), "--method", "passthrough", "--out", str(out)]
+    assert main([*argv, "--metrics-out", str(metrics)]) == 0
+    assert capsys.readouterr().out == f"wrote {out} and {metrics}\n"
+    assert out.is_file() and metrics.is_file()
+    exp = ["oracle-exp", "--methods", "nm", "--snr-grid", "0", "--seeds", "0", "--duration", "0.25", "--jobs", "1"]
+    assert main([*exp, "--out-dir", str(tmp_path / "exp")]) == 0
+    assert capsys.readouterr().out == f"wrote {tmp_path / 'exp' / 'results.csv'} (8 rows)\n"
+    cand = tmp_path / "d" / "cand.csv"
+    assert main(["candidates", str(paths["noisy"]), str(paths["clean"]), str(paths["noise"]), "--out", str(cand)]) == 0
+    summary = json.loads(cand.with_suffix(".manifest.json").read_text())
+    want = f"wrote {cand}: {summary['audited_bins']} audited bins, max error {summary['max_error_audited']}\n"
+    assert capsys.readouterr().out == want
+    maps = tmp_path / "e" / "maps"
+    argv = ["analyze", "--clean", str(paths["clean"]), "--noise", str(paths["noise"])]
+    assert main([*argv, "--out-dir", str(maps)]) == 0
+    assert capsys.readouterr().out == f"wrote error maps and summary to {maps}\n"
+
+
+def test_msgla_log_turns_on_progress_logging(mixture_files):
+    tmp_path, paths, _ = mixture_files
+    argv = ["enhance", str(paths["noisy"]), "--method", "gla", "--oracle-clean", str(paths["clean"])]
+    for level, shown in (("info", True), ("warning", False)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "msgla", *argv, "--iters", "1", "--out", str(tmp_path / f"{level}.wav")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "MSGLA_LOG": level},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ("INFO:msgla.cli:si-snr improvement: " in proc.stderr) == shown
+
+
+def test_candidates_audit_is_scale_free_and_skips_the_energy_test_of_a_silent_spectrogram(mixture_files):
+    tmp_path, paths, tri = mixture_files
+    # Scaling every waveform by 2**-14 scales every magnitude exactly, below 1.
+    for name, wave in (("noisy", tri.noisy), ("clean", tri.clean), ("noise", tri.noise)):
+        write_wav(Waveform(wave.samples * 2.0**-14, 16000), tmp_path / f"quiet_{name}.wav", "float32")
+    write_wav(Waveform(np.zeros(len(tri.noisy)), 16000), tmp_path / "silent.wav", "float32")
+    audits = {}
+    for label, noisy, clean, noise, law in (
+        ("loud", "noisy", "clean", "noise", "cos"),
+        ("quiet", "quiet_noisy", "quiet_clean", "quiet_noise", "cos"),
+        ("silent mixture", "silent", "clean", "noise", "sin"),
+    ):
+        out = tmp_path / f"{label}.csv"
+        files = [str(tmp_path / f"{name}.wav") for name in (noisy, clean, noise)]
+        assert main(["candidates", *files, "--law", law, "--out", str(out)]) == 0
+        audits[label] = json.loads(out.with_suffix(".manifest.json").read_text())
+    assert audits["quiet"]["audited_bins"] == audits["loud"]["audited_bins"] > 0
+    assert audits["quiet"]["max_error_audited"] == audits["loud"]["max_error_audited"]
+    # A silent mixture makes every bin of the sine law valid, its candidates pi apart.
+    silent = audits["silent mixture"]
+    assert silent["audited_bins"] == silent["valid_bins"] > 0
+
+
+def test_analyze_energy_scaling_is_scale_free(mixture_files):
+    # Scaling the clean waveform by 2**-14 scales its magnitudes exactly, below 1,
+    # and leaves its phases, its energy profile and so the whole summary as they are.
+    tmp_path, paths, tri = mixture_files
+    write_wav(Waveform(tri.clean.samples * 2.0**-14, 16000), tmp_path / "quiet.wav", "float32")
+    summaries = []
+    for clean in ("clean.wav", "quiet.wav"):
+        out_dir = tmp_path / f"maps_{clean}"
+        argv = ["analyze", "--clean", str(tmp_path / clean), "--noise", str(paths["noise"]), "--scale-by-energy"]
+        assert main([*argv, "--out-dir", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        summaries.append({part: summary[part] for part in ("speech_phase", "noise_phase")})
+    assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("role", ["clean", "noisy"])
+def test_candidates_audit_leaves_out_bins_exactly_at_the_energy_threshold(tmp_path, role):
+    # An impulse at every frame's center gives every bin of that frame the
+    # impulse's magnitude exactly: 100 in even frames and `small` in odd ones,
+    # so with small = 1.0 half the bins sit exactly at 1e-2 of the maximum.
+    rng = np.random.default_rng(0)
+    speech, noise = (np.round(0.5 * rng.standard_normal(8192) * 2**12) / 2**12 for _ in range(2))
+    audited = []
+    for small in (0.99, 1.0, 1.01):
+        train = np.zeros(8192)
+        train[::256] = small
+        train[::512] = 100.0
+        waves = {"clean": train, "noise": noise, "noisy": train + noise}
+        if role == "noisy":
+            waves = {"clean": speech, "noise": noise, "noisy": train}
+        files = [str(tmp_path / f"{name}.wav") for name in ("noisy", "clean", "noise")]
+        for name, samples in waves.items():
+            write_wav(Waveform(samples, 16000), tmp_path / f"{name}.wav", "float32")
+        assert main(["candidates", *files, "--out", str(tmp_path / "cand.csv")]) == 0
+        audited.append(json.loads((tmp_path / "cand.manifest.json").read_text())["audited_bins"])
+    assert audited[0] == audited[1] < audited[2]

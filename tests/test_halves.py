@@ -386,7 +386,13 @@ def test_the_helper_cpu_check_reads_the_affinity_set(monkeypatch):
 def test_calls_of_at_least_the_gate_and_of_two_rows_split(monkeypatch):
     monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
     gate = spectral._SPLIT_MIN
-    for rows, size, parts in ((4, gate - 1, [(0, 4)]), (4, gate, [(0, 2), (2, 4)]), (2, gate, [(0, 1), (1, 2)]), (1, gate, [(0, 1)])):
+    cases = (
+        (4, gate - 1, [(0, 4)]),
+        (4, gate, [(0, 2), (2, 4)]),
+        (2, gate, [(0, 1), (1, 2)]),
+        (1, gate, [(0, 1)]),
+    )
+    for rows, size, parts in cases:
         ran = []
         spectral._halves(lambda lo, hi: ran.append((lo, hi)), rows, size)
         assert sorted(ran) == parts

@@ -1,4 +1,7 @@
+import inspect
+import logging
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -147,8 +150,10 @@ def test_perturbed_oracle_zero_std_is_oracle():
     tri = synthesize_mixture("harmonic", 0.0, 0.25, 16000, 9)
     exact = provide_estimates(EstimateProvider("oracle"), tri, CFG)
     degraded = provide_estimates(EstimateProvider("perturbed_oracle", 0.0, 5), tri, CFG)
-    assert np.array_equal(exact.mag_speech, degraded.mag_speech)
-    assert np.array_equal(exact.phase_noise, degraded.phase_noise)
+    for quantity in ("mag_speech", "mag_noise", "phase_noise"):
+        # the exact spectra themselves, passed through read-only, not a perturbed copy
+        supplied = getattr(degraded, quantity)
+        assert np.array_equal(getattr(exact, quantity), supplied) and not supplied.flags.writeable, quantity
 
 
 def test_perturbed_oracle_properties():
@@ -377,3 +382,46 @@ def test_run_experiment_analyzes_each_signal_once(monkeypatch):
     spec = _reuse_spec()
     run_experiment(spec)
     assert len(calls) == 3 * len(spec.mixtures)  # noisy, clean and noise, once each
+
+
+def test_spec_and_provider_defaults():
+    # A harmonic mixture of 0.5 s at 0 dB and 16 kHz from seed 0; the exact oracle;
+    # the perturbed one of the grid at scale 0.3 from seed 0.
+    assert astuple(MixtureSpec()) == ("harmonic", 0.0, 0.5, 16000, 0)
+    parameters = inspect.signature(synthesize_mixture).parameters.values()
+    assert tuple(p.default for p in parameters) == astuple(MixtureSpec())
+    assert astuple(EstimateProvider()) == ("oracle", 0.0, 0)
+    assert default_provider_pairs()[3] == (EstimateProvider("perturbed_oracle", 0.3, 0),) * 2
+
+
+def test_scale_noise_rejects_silence_and_scales_unit_signals():
+    with pytest.raises(ValueError, match="^noise signal is silent"):
+        harness._scale_noise(np.ones(3), np.zeros(3), 0.0)
+    with pytest.raises(ValueError, match="^clean signal is silent"):
+        harness._scale_noise(np.zeros(3), np.ones(3), 0.0)
+    # Two signals of norm 1 at 0 dB: a gain of exactly 1.
+    scaled = harness._scale_noise(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]), 0.0)
+    assert np.array_equal(scaled, [0.0, 0.0, 1.0])
+
+
+def test_experiment_spec_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        ExperimentSpec([MixtureSpec()], methods=["nm", "bogus"])
+
+
+def test_the_spectra_and_every_estimate_of_a_mixture_are_read_only():
+    tri = synthesize_mixture(duration_s=0.1)
+    _, spectra = harness._spectra(tri.noisy, tri.clean, tri.noise, StftConfig())
+    assert [name for name, array in spectra.items() if array.flags.writeable] == []
+    supplied = {}
+    for method in ("nm", "np"):
+        harness._estimates(method, spectra, default_provider_pairs()[3], tri.seed, supplied)
+    assert len(supplied) == 3
+    assert [key for key, array in supplied.items() if array.flags.writeable] == []
+
+
+def test_run_experiment_logs_its_grid(caplog):
+    spec = ExperimentSpec([MixtureSpec(duration_s=0.05)], methods=["passthrough"])
+    with caplog.at_level(logging.INFO, logger="msgla.harness"):
+        run_experiment(spec)
+    assert caplog.messages == ["running 1 experiment cells over 1 mixture(s) with 1 worker(s)"]

@@ -24,7 +24,8 @@ def tool():
 
 
 def _files():
-    return {p: (p.stat().st_mtime_ns, p.stat().st_size) for d in ("src", "tools", "tests") for p in (ROOT / d).rglob("*")}
+    paths = [p for d in ("src", "tools", "tests") for p in (ROOT / d).rglob("*")]
+    return {p: (p.stat().st_mtime_ns, p.stat().st_size) for p in paths}
 
 
 def test_two_generations_list_the_same_mutants_and_write_no_file(tool):

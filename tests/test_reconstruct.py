@@ -823,7 +823,8 @@ def test_enhance_waveforms_stay_with_their_threads():
 # relative (max-abs), and np, whose noise phasor enters every iteration's
 # projection, by up to 8.1e-15; 0.5 s and 2 s mixtures have put np at
 # 7.5e-14. 1e-12 leaves a margin of ten over the largest.
-NEGATION_RTOL = {"passthrough": 1e-12, "sign": 1e-12, "np": 1e-12}
+ROUNDED = {"passthrough", "sign", "np"}
+NEGATION_RTOL = 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -851,7 +852,7 @@ def test_negated_waveforms_negate_every_method_output(window, hop_share, extra_f
         outputs.append({m: enhance(noisy, m, est, ReconConfig(trace=False))[0].samples for m in METHODS})
     for method in METHODS:
         plain, negated = outputs[0][method], outputs[1][method]
-        if method in NEGATION_RTOL:
-            assert np.max(np.abs(negated + plain)) <= NEGATION_RTOL[method] * np.max(np.abs(plain)), method
+        if method in ROUNDED:
+            assert np.max(np.abs(negated + plain)) <= NEGATION_RTOL * np.max(np.abs(plain)), method
         else:
             assert np.array_equal(negated, -plain), method

@@ -559,7 +559,8 @@ def test_the_invertibility_error_names_the_first_sample_below_the_floor(monkeypa
 
 def test_a_spectrogram_holds_only_finite_values_on_the_grid_of_its_config():
     cfg = StftConfig()
-    with pytest.raises(ValueError, match=r"^values must be a \(frames, 257\) array for this config, got shape \(4, 256\)"):
+    message = r"^values must be a \(frames, 257\) array for this config, got shape \(4, 256\)"
+    with pytest.raises(ValueError, match=message):
         Spectrogram(np.zeros((4, 256)), cfg, 768)
     for bad in (np.nan, np.inf):
         values = np.zeros((4, 257), dtype=complex)

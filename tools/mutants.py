@@ -3,35 +3,16 @@
 
     python tools/mutants.py [NAME ...]
 
-The mutants are generated from the AST of each module, one per site and
-operator:
-
-* ``compare``: a single comparison flipped (``<``/``<=``, ``>``/``>=``, ``==``/``!=``);
-* ``constant``: a numeric constant replaced by 0, by 1 and by ten times itself;
-* ``call``: a call statement replaced by ``pass``;
-* ``if-raise``: the test of an ``if`` whose body raises replaced by ``False``;
-* ``unary``: a unary minus dropped;
-* ``binary``: a binary or augmented ``+`` swapped with ``-``.
-
-A mutant rewrites the source span of its node and nothing else. It is named
-by module, enclosing function (or module-level assignment), operator and
-source text, with ``#k`` for the k-th repeat of that text there, never by
-line number: ``spectral._check_analyzable compare: length < shortest ->
-length <= shortest``. ``HAND`` adds the mutants that no operator makes; each
-of their snippets must occur exactly once in its module.
-
-A copy of the working tree (without ``.git``), unmutated, must first pass
-all of tier-1. Then one worker per CPU this process may run on takes a copy
-of its own and runs mutants one at a time: pytest stops at the first failure,
-on the tier-1 files that import the mutated module, its own test file first.
-Every pytest run passes ``--hypothesis-seed=0``, so verdicts repeat. A
-mutant is ``killed`` when a test fails and ``SURVIVED`` when all pass.
-Mutants that ``mutants_equivalent.txt`` beside this file lists, each with
-the reason no input tells it from the code, are not run. A module's name
-selects its mutants, another name the mutants it is part of; with none,
-every mutant runs. The exit status is 1 when a mutant survives or does not
-compile, or when a snippet or an equivalents entry no longer matches a
-mutant.
+``generate`` makes the mutants from each module's AST, one per site and operator, and names each
+by module, enclosing function, operator and source text, never by line number; ``HAND`` adds the
+faults that no operator makes. Once an unmutated copy of the tree passes all of tier-1, one worker
+per usable CPU runs the mutants, each in a copy of its own: pytest with ``--hypothesis-seed=0``, so
+verdicts repeat, on the tier-1 files that import the mutated module, stopping at the first failure.
+The mutants that ``mutants_equivalent.txt`` lists, each with the reason no input tells it from the
+code, are not run. A module's name selects its mutants, another name the mutants whose names
+contain it; with none, every mutant runs. The exit status is 1 when a mutant survives or pytest
+cannot run on it, or when a snippet or an equivalents entry no longer matches a mutant. README's
+"Mutation check" section lists the operators and how to dispose of a survivor.
 """
 
 from __future__ import annotations
@@ -64,9 +45,17 @@ class Mutant(NamedTuple):
     start: int = -1  # the offset of ``old`` in the module's text; -1: its one occurrence
 
 
-_FLIPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "=="}
-_TOKENS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=", ast.Add: "+", ast.Sub: "-"}
-_SWAPS = {ast.Add: "-", ast.Sub: "+"}
+# The token of each comparison and sign that a mutant flips, and the token that replaces it.
+_SWAPS = {
+    ast.Lt: ("<", "<="),
+    ast.LtE: ("<=", "<"),
+    ast.Gt: (">", ">="),
+    ast.GtE: (">=", ">"),
+    ast.Eq: ("==", "!="),
+    ast.NotEq: ("!=", "=="),
+    ast.Add: ("+", "-"),
+    ast.Sub: ("-", "+"),
+}
 
 
 class _Source:
@@ -90,14 +79,15 @@ class _Source:
 
 def _edits(src: _Source, node: ast.AST):
     """``(operator, start, old, new)`` for each mutant of ``node``: ``old`` at ``start`` becomes ``new``."""
-    if isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _FLIPS:
-        op = type(node.ops[0])
-        yield "compare", src.token(node.left, node.comparators[0], _TOKENS[op]), _TOKENS[op], _FLIPS[op]
+    if isinstance(node, ast.Compare) and len(node.ops) == 1 and type(node.ops[0]) in _SWAPS:
+        old, new = _SWAPS[type(node.ops[0])]
+        yield "compare", src.token(node.left, node.comparators[0], old), old, new
     elif isinstance(node, ast.BinOp) and type(node.op) in _SWAPS:
-        yield "binary", src.token(node.left, node.right, _TOKENS[type(node.op)]), _TOKENS[type(node.op)], _SWAPS[type(node.op)]
+        old, new = _SWAPS[type(node.op)]
+        yield "binary", src.token(node.left, node.right, old), old, new
     elif isinstance(node, ast.AugAssign) and type(node.op) in _SWAPS:
-        token = _TOKENS[type(node.op)] + "="
-        yield "binary", src.token(node.target, node.value, token), token, _SWAPS[type(node.op)] + "="
+        old, new = _SWAPS[type(node.op)]
+        yield "binary", src.token(node.target, node.value, old + "="), old + "=", new + "="
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         yield "unary", src.span(node)[0], "-", ""
     elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
@@ -143,63 +133,97 @@ def generate(module: str, text: str) -> list[Mutant]:
     return found
 
 
-# (module, description, snippet, replacement): faults that no operator makes.
+# (module, description, snippet, replacement) of each fault that no operator makes: a statement
+# replaced or inserted, an expression call dropped, an operand changed. Each snippet must occur
+# exactly once in its module.
 _GRID = "    values, length = _grid(values, cfg, origin_length)\n"
-_CANCEL = "        if top.cancel():\n            fn(0, half)\n        else:\n            top.result()\n"
-_POLAR = "    return _elementwise(np.abs, values, dtype=np.float64), wrap_phase(_angle(values))\n"
-_PRODUCT = "    return _elementwise(np.multiply, mag, _expj(phase))\n"
-_UPDATE = "        if n < cfg.iterations:\n            z = update(z, projected)\n"
-_TAGS = '_QUANTITY_TAGS = {"mag_speech": 0, "mag_noise": 1, "phase_noise": 2}\n'
 _HAND = [
-    ("spectral", "grid rule dropped from _synthesize", _GRID, "    values, length = np.asarray(values, dtype=np.complex128), int(origin_length)\n"),
-    ("spectral", "an inverse FFT before the grid rule", _GRID, "    np.fft.irfft(np.asarray(values, dtype=np.complex128), n=cfg.fft_length, axis=1)\n" + _GRID),
-    ("spectral", "grid frame count != -> <", "    if frames != values.shape[0]:\n", "    if frames < values.shape[0]:\n"),
-    ("spectral", "grid whole-number test dropped", '_whole_number("origin_length", origin_length, positive=False)', "int(origin_length)"),
-    ("spectral", "Spectrogram skips the grid rule", "_grid(self.values, self.config, self.origin_length)",
-     "np.asarray(self.values, dtype=np.complex128), self.origin_length"),
+    (
+        "spectral",
+        "grid rule dropped from _synthesize",
+        "_grid(values, cfg, origin_length)",
+        "np.asarray(values, dtype=np.complex128), int(origin_length)",
+    ),
+    (
+        "spectral",
+        "an inverse FFT before the grid rule",
+        _GRID,
+        "    np.fft.irfft(np.asarray(values, dtype=np.complex128), n=cfg.fft_length, axis=1)\n" + _GRID,
+    ),
+    ("spectral", "grid frame count != -> <", "if frames != values.shape[0]:", "if frames < values.shape[0]:"),
+    (
+        "spectral",
+        "grid whole-number test dropped",
+        '_whole_number("origin_length", origin_length, positive=False)',
+        "int(origin_length)",
+    ),
+    (
+        "spectral",
+        "Spectrogram skips the grid rule",
+        "_grid(self.values, self.config, self.origin_length)",
+        "np.asarray(self.values, dtype=np.complex128), self.origin_length",
+    ),
     # Every function that casts an array argument to float64 holds _real first.
-    *((module, f"_real dropped for {name}", f'_real("{name}", {name})', f"np.asarray({name}, dtype=np.float64)") for module, name in (
-        ("spectral", "angles"), ("spectral", "a"), ("spectral", "b"), ("spectral", "mag"), ("spectral", "phase"),
-        ("metrics", "phase_est"), ("metrics", "phase_ref"))),
-    ("spectral", "_real dropped from _estimate", "    arr = _real(name, value)\n", "    arr = np.asarray(value, dtype=np.float64)\n"),
+    *(
+        (module, f"_real dropped for {name}", f'_real("{name}", {name})', f"np.asarray({name}, dtype=np.float64)")
+        for module, names in (("spectral", "angles a b mag phase"), ("metrics", "phase_est phase_ref"))
+        for name in names.split()
+    ),
+    ("spectral", "_real dropped from _estimate", "_real(name, value)", "np.asarray(value, dtype=np.float64)"),
     ("spectral", "halves: no context hand-off", "submit(contextvars.copy_context().run, lambda:", "submit(lambda:"),
-    ("spectral", "halves that overlap", "        fn(half, rows)\n", "        fn(half - 1, rows)\n"),
-    ("spectral", "halves: Future.cancel() never tried", _CANCEL, "        top.result()\n"),
-    ("spectral", "halves: a traced layer (wrap_phase) run on the helper", _POLAR, _POLAR.replace(
-        "wrap_phase(_angle(values))", "_elementwise(lambda a, out: np.copyto(out, wrap_phase(a)), _angle(values))")),
-    ("spectral", "an in-place complex product in recompose", _PRODUCT, _PRODUCT.replace(
-        "np.multiply,", "lambda m, c, out: np.copyto(out, np.multiply(m, c, out=c)),")),
-    ("reconstruct", "one loop update dropped", _UPDATE, _UPDATE.replace("cfg.iterations:", "cfg.iterations - 1:")),
-    ("reconstruct", "final phase shifted by 8.6e-7 rad", "ReconReport(angles(z), final", "ReconReport(angles(z) + 8.6e-7, final"),
-    ("harness", "supplied key without its provider", "        key = (provider, quantity)\n", "        key = quantity\n"),
-    ("harness", "the cell's mixture seed replaced by 0", "spectra, pair, mixture.seed, supplied)", "spectra, pair, 0, supplied)"),
-    ("harness", "seed-stream tags of mag_noise and phase_noise swapped", _TAGS, _TAGS.replace("1, ", "2, ").replace(": 2}", ": 1}")),
-    ("cli", "audit separation 1e-3 -> 1e-4", "angular_distance(cand_a, cand_b) > 1e-3", "angular_distance(cand_a, cand_b) > 1e-4"),
-    ("cli", "audit mixture energy 1e-2 -> 1e-3", "(mag_mix > 1e-2 * mag_mix.max())", "(mag_mix > 1e-3 * mag_mix.max())"),
+    ("spectral", "halves that overlap", "fn(half, rows)", "fn(half - 1, rows)"),
+    ("spectral", "halves: Future.cancel() never tried", "if top.cancel():", "if False:"),
+    (
+        "spectral",
+        "halves: a traced layer (wrap_phase) run on the helper",
+        "wrap_phase(_angle(values))",
+        "_elementwise(lambda a, out: np.copyto(out, wrap_phase(a)), _angle(values))",
+    ),
+    (
+        "spectral",
+        "an in-place complex product in recompose",
+        "_elementwise(np.multiply, mag, _expj(phase))",
+        "_elementwise(lambda m, c, out: np.copyto(out, np.multiply(m, c, out=c)), mag, _expj(phase))",
+    ),
+    (
+        "reconstruct",
+        "one loop update dropped",
+        "if n < cfg.iterations:\n            z = update(z, projected)",
+        "if n < cfg.iterations - 1:\n            z = update(z, projected)",
+    ),
+    ("reconstruct", "final phase shifted by 8.6e-7 rad", "ReconReport(angles(z),", "ReconReport(angles(z) + 8.6e-7,"),
+    ("harness", "supplied key without its provider", "key = (provider, quantity)", "key = quantity"),
+    ("harness", "the cell's mixture seed replaced by 0", "pair, mixture.seed, supplied)", "pair, 0, supplied)"),
+    (
+        "harness",
+        "seed-stream tags of mag_noise and phase_noise swapped",
+        '"mag_noise": 1, "phase_noise": 2}',
+        '"mag_noise": 2, "phase_noise": 1}',
+    ),
+    ("cli", "audit separation 1e-3 -> 1e-4", "cand_b) > 1e-3", "cand_b) > 1e-4"),
+    ("cli", "audit mixture energy 1e-2 -> 1e-3", "(mag_mix > 1e-2 *", "(mag_mix > 1e-3 *"),
 ]
 HAND = [Mutant(f"{module} hand: {description}", module, old, new) for module, description, old, new in _HAND]
 
 
-def mutants(package: Path = ROOT / "src" / "msgla") -> list[Mutant]:
-    """The generated mutants of every module of ``package``, then ``HAND``."""
-    return [m for path in sorted(package.glob("*.py")) for m in generate(path.stem, path.read_text())] + HAND
+def mutants() -> list[Mutant]:
+    """The generated mutants of every module of ``src/msgla``, then ``HAND``."""
+    paths = sorted((ROOT / "src" / "msgla").glob("*.py"))
+    return [m for path in paths for m in generate(path.stem, path.read_text())] + HAND
 
 
-def equivalents(path: Path = EQUIVALENTS) -> dict[str, str]:
-    """Mutant name -> reason: a line that starts a name, then the reason's indented lines."""
-    entries: dict[str, str] = {}
-    for line in path.read_text().splitlines():
-        if line[:1].isspace() and line.strip():
-            entries[name] = f"{entries[name]} {line.strip()}".strip()
-        elif line.strip() and not line.startswith("#"):
-            name = line.strip()
-            entries[name] = ""
-    return entries
+def equivalents() -> dict[str, str]:
+    """Mutant name -> reason, from ``EQUIVALENTS``: a line that starts a name, then the reason's
+    indented lines."""
+    found = re.findall(r"^([^#\s].*)\n((?:[ \t]+.*\n?)*)", EQUIVALENTS.read_text(), re.MULTILINE)
+    return {name.strip(): " ".join(reason.split()) for name, reason in found}
 
 
 def apply(text: str, mutant: Mutant) -> str | None:
     """``text`` with ``mutant`` applied; ``None`` unless its snippet is where it should be."""
-    start = mutant.start if mutant.start >= 0 else (text.find(mutant.old) if text.count(mutant.old) == 1 else -1)
+    start = mutant.start
+    if start < 0:
+        start = text.find(mutant.old) if text.count(mutant.old) == 1 else -1
     if start < 0 or text[start : start + len(mutant.old)] != mutant.old:
         return None
     return text[:start] + mutant.new + text[start + len(mutant.old) :]
@@ -226,9 +250,10 @@ def _importers(tests: Path, module: str) -> list[str]:
 def _pytest(tree: Path, files: list[str], stop_first: bool) -> tuple[int, float]:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
+    args += ["-x"] * stop_first + files
     start = time.perf_counter()
     try:
-        code = subprocess.run(args + ["-x"] * stop_first + files, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
+        code = subprocess.run(args, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
     except subprocess.TimeoutExpired:
         code = -1
     return code, time.perf_counter() - start
@@ -240,17 +265,17 @@ def _run(tree: Path, mutant: Mutant) -> tuple[str, str]:
     mutated = apply(text, mutant)
     if mutated is None:
         return "STALE", f"its snippet does not occur once in {mutant.module}.py"
-    try:
-        compile(mutated, str(source), "exec")
-    except SyntaxError as error:
-        return "INVALID", str(error)
     source.write_text(mutated)
     try:
         files = _importers(tree / "tests", mutant.module)
         code, seconds = _pytest(tree, files, stop_first=True)
     finally:
         source.write_text(text)
-    verdict = {0: "SURVIVED", 1: "killed", -1: "killed (timeout)"}.get(code, f"ERROR (pytest exit {code})")
+    # pytest exits 2 on an error collecting a test file, 3 on one inside pytest: a module that
+    # raises on import fails tier-1 that way.
+    verdict = {0: "SURVIVED", 1: "killed", 2: "killed (exit 2)", 3: "killed (exit 3)", -1: "killed (timeout)"}.get(
+        code, f"ERROR (pytest exit {code})"
+    )
     return verdict, f"{len(files)} files, {seconds:.0f} s"
 
 
@@ -264,12 +289,16 @@ def main(argv: list[str]) -> int:
     if not chosen:
         print(f"no mutant matches {argv}", file=sys.stderr)
         return 2
-    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, len(chosen))
+    sys.path.insert(0, str(ROOT / "src"))
+    from msgla.spectral import _usable_cpus
+
+    workers = min(_usable_cpus(), len(chosen))
     counts: dict[str, collections.Counter] = collections.defaultdict(collections.Counter)
     with tempfile.TemporaryDirectory(prefix="msgla-mutants-") as scratch:
         trees: queue.SimpleQueue[Path] = queue.SimpleQueue()
         for k in range(workers):
-            shutil.copytree(ROOT, tree := Path(scratch) / f"tree{k}", ignore=shutil.ignore_patterns(".git", ".hypothesis", "__pycache__"))
+            tree = Path(scratch) / f"tree{k}"
+            shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", ".hypothesis", "__pycache__"))
             trees.put(tree)
         code, seconds = _pytest(Path(scratch) / "tree0", ["tests"], stop_first=False)
         if code != 0:
@@ -289,10 +318,11 @@ def main(argv: list[str]) -> int:
         with ThreadPoolExecutor(workers) as pool:
             for mutant, (verdict, note) in zip(chosen, pool.map(job, chosen)):
                 counts[mutant.module][verdict.split()[0]] += 1
-                bad += verdict not in ("killed", "killed (timeout)", "equivalent")
+                bad += not verdict.startswith(("killed", "equivalent"))
                 print(f"{verdict:<9} {mutant.name} ({note})", flush=True)
     for module, count in counts.items():
-        print(f"{module}: {sum(count.values())} mutants, " + ", ".join(f"{n} {v}" for v, n in sorted(count.items())))
+        tally = ", ".join(f"{n} {verdict}" for verdict, n in sorted(count.items()))
+        print(f"{module}: {sum(count.values())} mutants, {tally}")
     print(f"{len(chosen) - bad} of {len(chosen)} mutants killed or equivalent")
     return 1 if bad else 0
 
